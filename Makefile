@@ -1,10 +1,10 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build test test-short race bench bench-record bench-compare figures examples vet fmt
+.PHONY: all check build test test-short race bench bench-record bench-compare figures examples vet fmt fmt-check
 
 all: check
 
-check: build vet test
+check: fmt-check build vet test
 
 build:
 	go build ./...
@@ -14,6 +14,11 @@ vet:
 
 fmt:
 	gofmt -w .
+
+# Fail (listing the files) when any Go source is not gofmt-formatted.
+fmt-check:
+	@out="$$(gofmt -l cmd examples internal perfbench *.go)"; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 test:
 	go test ./...

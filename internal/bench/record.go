@@ -173,16 +173,16 @@ func Record(opt RecordOptions) (*BenchFile, error) {
 		}
 
 		w := BenchWorkload{
-			Name:          fmt.Sprintf("silica-%v-r%d", scheme, opt.Ranks),
-			Scheme:        scheme.String(),
-			Atoms:         cfg.N(),
-			Steps:         opt.Steps,
-			Ranks:         opt.Ranks,
-			Workers:       opt.Workers,
-			WallMsPerStep: res.Wall.Seconds() * 1e3 / float64(opt.Steps),
-			AllocsPerStep: res.StepAllocs,
-			PhaseNs:       make(map[string]int64, len(res.Phases)),
-			Comm:          make(map[string]CommStats, len(res.CommByClass)),
+			Name:            fmt.Sprintf("silica-%v-r%d", scheme, opt.Ranks),
+			Scheme:          scheme.String(),
+			Atoms:           cfg.N(),
+			Steps:           opt.Steps,
+			Ranks:           opt.Ranks,
+			Workers:         opt.Workers,
+			WallMsPerStep:   res.Wall.Seconds() * 1e3 / float64(opt.Steps),
+			AllocsPerStep:   res.StepAllocs,
+			PhaseNs:         make(map[string]int64, len(res.Phases)),
+			Comm:            make(map[string]CommStats, len(res.CommByClass)),
 			OverlapFraction: res.OverlapFraction(),
 			Repartitions:    res.Repartitions,
 			Imbalance:       res.ForceImbalance(),

@@ -128,11 +128,15 @@ func (b *Binning) prepareCSR(n int) {
 	}
 	clear(b.fill[:nc])
 	if cap(b.cellOf) < n {
-		b.cellOf = make([]int32, n)
+		// Headroom (an eighth, as for every per-atom scratch array):
+		// a rank's keyed sub-cell rebin covers owned plus halo atoms,
+		// whose count fluctuates with thermal motion; an exact fit would
+		// reallocate at every new high-water mark.
+		b.cellOf = make([]int32, n+n/8)
 	}
 	b.cellOf = b.cellOf[:n]
 	if cap(b.Atoms) < n {
-		b.Atoms = make([]int32, n)
+		b.Atoms = make([]int32, n+n/8)
 	}
 	b.Atoms = b.Atoms[:n]
 	b.SpanLo = nil

@@ -220,6 +220,48 @@ func TestRebinReusesStorageAndTracksMoves(t *testing.T) {
 	}
 }
 
+// TestRebinCellsKeyedFluctuatingZeroAllocs: a keyed CSR rebin whose
+// atom count grows to a working size and then fluctuates — each call
+// dipping and then setting a new high-water mark, as a rank's
+// owned-plus-halo count does under thermal motion — allocates nothing
+// once warm, because the per-atom arrays keep an eighth of headroom.
+func TestRebinCellsKeyedFluctuatingZeroAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	lat, _ := NewLatticeDims(geom.NewCubicBox(8), geom.IV(4, 4, 4))
+	const base = 800
+	cells := make([]int32, base+base/8)
+	keys := make([]int64, len(cells))
+	for i := range cells {
+		cells[i] = int32(rng.Intn(lat.NumCells()))
+		keys[i] = int64(len(cells) - i) // reverse storage order: every cell list sorts
+	}
+	var b Binning
+	b.Lat = lat
+	for n := 100; n <= base; n += 100 {
+		b.RebinCellsKeyed(cells[:n], keys)
+	}
+	n := base
+	allocs := testing.AllocsPerRun(20, func() {
+		n += 4
+		b.RebinCellsKeyed(cells[:n-50], keys)
+		b.RebinCellsKeyed(cells[:n], keys)
+	})
+	if allocs != 0 {
+		t.Errorf("%g allocs per fluctuating rebin, want 0", allocs)
+	}
+	if n > len(cells) {
+		t.Fatalf("fluctuation reached %d atoms, past the %d-atom headroom", n, len(cells))
+	}
+	for c := 0; c < lat.NumCells(); c++ {
+		list := b.CellAtomsLinear(c)
+		for i, a := range list {
+			if int(cells[a]) != c || (i > 0 && keys[list[i-1]] > keys[a]) {
+				t.Fatalf("cell %d list %v not the key-ordered members", c, list)
+			}
+		}
+	}
+}
+
 func TestCellAtomsWrapsOffsets(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	box := geom.NewCubicBox(9)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"sctuple/internal/geom"
@@ -127,5 +129,52 @@ func TestMidpointAnalysisMonotone(t *testing.T) {
 		if diff := r.SearchPerAtom - want; diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("k=%d search space %g, want %g", r.K, r.SearchPerAtom, want)
 		}
+	}
+}
+
+// TestSCPathsAnchorAtMinimum: every path of SC(n) and SCRadius(n, k)
+// has per-axis minimum offset exactly 0, so the anchor cell of any
+// tuple it generates is the component-wise minimum of the tuple's
+// cells. Rank-parallel SC-MD rests its ownership argument on this:
+// on a sub-cell lattice nested in the pair lattice, the anchor's
+// parent pair cell is then the component-wise minimum of the tuple's
+// pair cells, an integer every rank agrees on. Checked exhaustively
+// for n = 2–4 at k = 1 and n = 2–3 at k = 2–3; the four-body radius-2
+// and radius-3 patterns have 10⁶–10⁷ paths, and since R-COLLAPSE only
+// removes paths the property is OC-SHIFT's, checked there on random
+// four-body radius-k paths.
+func TestSCPathsAnchorAtMinimum(t *testing.T) {
+	check := func(label string, ps *Pattern) {
+		t.Helper()
+		for _, p := range ps.Paths() {
+			if lo, _ := p.BoundingBox(); lo != (geom.IVec3{}) {
+				t.Errorf("%s: path %v has per-axis minimum %v, want 0", label, p, lo)
+				return
+			}
+		}
+	}
+	for n := 2; n <= 4; n++ {
+		check(fmt.Sprintf("SC(%d)", n), SC(n))
+	}
+	for k := 2; k <= 3; k++ {
+		for n := 2; n <= 3; n++ {
+			check(fmt.Sprintf("SCRadius(%d,%d)", n, k), SCRadius(n, k))
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for k := 2; k <= 3; k++ {
+		seen := map[string]bool{}
+		var paths []Path
+		for len(paths) < 2000 {
+			p := make(Path, 4)
+			for i := 1; i < len(p); i++ {
+				p[i] = p[i-1].Add(geom.IV(rng.Intn(2*k+1)-k, rng.Intn(2*k+1)-k, rng.Intn(2*k+1)-k))
+			}
+			if !seen[p.Key()] {
+				seen[p.Key()] = true
+				paths = append(paths, p)
+			}
+		}
+		check(fmt.Sprintf("OCShift(radius-%d four-body sample)", k), OCShift(NewPattern(4, paths...)))
 	}
 }

@@ -209,10 +209,10 @@ type healthzResponse struct {
 	UptimeMs int64 `json:"uptime_ms"`
 	// Step is the latest completed step (the parmd.steps counter);
 	// StepsTotal is the run's configured step count, 0 when unknown.
-	Step          int64                 `json:"step"`
-	StepsTotal    int64                 `json:"steps_total"`
-	Info          map[string]string     `json:"info,omitempty"`
-	Probes        []health.ProbeSummary `json:"probes,omitempty"`
+	Step       int64                 `json:"step"`
+	StepsTotal int64                 `json:"steps_total"`
+	Info       map[string]string     `json:"info,omitempty"`
+	Probes     []health.ProbeSummary `json:"probes,omitempty"`
 }
 
 // healthzStatus maps probe severity to an HTTP status usable as a

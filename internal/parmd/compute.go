@@ -96,7 +96,7 @@ func (r *rankState) evalInterior() {
 	sp := r.rec.StartSpan(phaseForceInterior)
 	switch r.scheme {
 	case SchemeSC, SchemeFS:
-		r.evalCellTerms(r.interiorCells)
+		r.evalCellTerms(false)
 	case SchemeHybrid:
 		r.hybridSearch(r.interiorCells, true)
 	}
@@ -114,7 +114,7 @@ func (r *rankState) evalBoundary() {
 	switch r.scheme {
 	case SchemeSC, SchemeFS:
 		sp := r.rec.StartSpan(phaseForceBoundary)
-		r.evalCellTerms(r.boundaryCells)
+		r.evalCellTerms(true)
 		sp.End()
 	case SchemeHybrid:
 		sp := r.rec.StartSpan(phaseSearch)
@@ -126,16 +126,20 @@ func (r *rankState) evalBoundary() {
 	r.stats.ForceNs += time.Since(start).Nanoseconds()
 }
 
-// evalCellTerms is the SC-/FS-MD force kernel over one cell subset:
-// one bounded UCP enumeration per n-body term, the cells split across
-// the accumulator's shards by kernel.Chunk and executed by up to
-// r.workers goroutines. The interior and boundary stages pass disjoint
-// subsets that together cover ownedCells in order, so the per-shard
-// accumulation order is a pure function of the partition — identical
-// whether or not the stages were separated by a halo completion.
-func (r *rankState) evalCellTerms(cells []geom.IVec3) {
-	r.curCells = cells
-	for ti := range r.model.Terms {
+// evalCellTerms is the SC-/FS-MD force kernel over one stage: one
+// bounded UCP enumeration per n-body term over the interior or
+// boundary anchors of the term's search lattice, the cells split
+// across the accumulator's shards by kernel.Chunk and executed by up
+// to r.workers goroutines. The two stages' anchor lists are disjoint
+// and fixed at initGeometry, so the per-shard accumulation order is a
+// pure function of the partition — identical whether or not the
+// stages were separated by a halo completion.
+func (r *rankState) evalCellTerms(boundary bool) {
+	for ti, sl := range r.termLat {
+		r.curCells = sl.interior
+		if boundary {
+			r.curCells = sl.boundary
+		}
 		r.curTerm = ti
 		kernel.Run(r.acc.Slots(), r.workers, r.cellFn)
 	}

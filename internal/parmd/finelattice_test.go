@@ -1,0 +1,310 @@
+package parmd
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"sctuple/internal/cell"
+	"sctuple/internal/comm"
+	"sctuple/internal/geom"
+	"sctuple/internal/kernel"
+	"sctuple/internal/potential"
+	"sctuple/internal/tuple"
+	"sctuple/internal/workload"
+)
+
+// bruteForces evaluates every model term over Γ*(n) as enumerated by
+// tuple.BruteForce — no cells, minimum-image chains — and returns the
+// forces by configuration index and the potential energy. Only the
+// term kernel is shared with the code under test.
+func bruteForces(cfg *workload.Config, model *potential.Model) ([]geom.Vec3, float64) {
+	force := make([]geom.Vec3, len(cfg.Pos))
+	acc := kernel.NewDirect()
+	acc.Begin(force)
+	species := cfg.Species
+	for _, term := range model.Terms {
+		visit := kernel.TermKernel{Term: term, Species: &species}.Visitor(acc.Slot(0))
+		pos := make([]geom.Vec3, term.N())
+		for _, chain := range tuple.BruteForce(cfg.Box, cfg.Pos, term.N(), term.Cutoff()) {
+			pos[0] = cfg.Pos[chain[0]]
+			for k := 1; k < len(chain); k++ {
+				pos[k] = pos[k-1].Add(cfg.Box.Displacement(cfg.Pos[chain[k-1]], cfg.Pos[chain[k]]))
+			}
+			visit(chain, pos)
+		}
+	}
+	pe, _ := acc.End()
+	return force, pe
+}
+
+// nudgeOntoPlanes moves every atom lying within 0.25 Å of a sub-cell
+// plane of the triplet search lattice (which contains every pair-cell
+// and so every rank plane) to within 1e-12 Å of it, alternating sides.
+// It returns how many coordinates landed on sub-cell planes and how
+// many of those on the rank planes of a 2-way split of every axis.
+func nudgeOntoPlanes(t *testing.T, cfg *workload.Config, model *potential.Model) (fine, rank int) {
+	t.Helper()
+	lat, err := cell.NewLattice(cfg.Box, model.MaxCutoff())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := subCells(lat.Side, model.Terms[1].Cutoff())
+	if k != 2 {
+		t.Fatalf("silica triplet sub-cells per pair cell = %d, want 2", k)
+	}
+	for i := range cfg.Pos {
+		r := cfg.Pos[i]
+		for axis := 0; axis < 3; axis++ {
+			fineSide := lat.Side.Comp(axis) / float64(k)
+			plane := math.Round(r.Comp(axis) / fineSide)
+			x := plane * fineSide
+			if math.Abs(r.Comp(axis)-x) > 0.25 {
+				continue
+			}
+			fine++
+			// A 2-way split puts the rank plane at pair cell ⌈dims/2⌉.
+			if int(plane) == k*((lat.Dims.Comp(axis)+1)/2) {
+				rank++
+			}
+			if (i+axis)%2 == 0 {
+				x += 1e-12
+			} else {
+				x -= 1e-12
+			}
+			r.SetComp(axis, x)
+		}
+		cfg.Pos[i] = cfg.Box.Wrap(r)
+	}
+	return fine, rank
+}
+
+// requireForces compares a parallel run's forces and energy against
+// the brute-force reference.
+func requireForces(t *testing.T, label string, got []geom.Vec3, gotPE float64, want []geom.Vec3, wantPE float64) {
+	t.Helper()
+	if rel := math.Abs(gotPE-wantPE) / math.Abs(wantPE); rel > 1e-10 {
+		t.Errorf("%s: PE %.12g, brute force %.12g (rel %g)", label, gotPE, wantPE, rel)
+	}
+	for i := range want {
+		if d := got[i].Sub(want[i]).Norm(); d > 1e-8*(1+want[i].Norm()) {
+			t.Errorf("%s: atom %d force differs from brute force by %g", label, i, d)
+			return
+		}
+	}
+}
+
+// TestFineLatticeMatchesBruteForce is the adversarial check of the
+// per-term rank lattices: SC-MD and FS-MD forces and energy equal the
+// cell-free brute-force reference on silica with atoms pinned to
+// within 1e-12 Å of sub-cell and rank planes, on a cubic and a
+// non-cubic box, 1-D and 3-D topologies, 1 and 3 workers, overlapped
+// and synchronous exchange.
+func TestFineLatticeMatchesBruteForce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("32 parallel force evaluations against an O(N²) reference")
+	}
+	for _, uc := range []geom.IVec3{{X: 4, Y: 4, Z: 4}, {X: 5, Y: 4, Z: 4}} {
+		model := potential.NewSilicaModel()
+		cfg := workload.BetaCristobalite(uc.X, uc.Y, uc.Z)
+		cfg.Thermalize(rand.New(rand.NewSource(int64(uc.X))), model, 300)
+		fine, rank := nudgeOntoPlanes(t, cfg, model)
+		if fine == 0 || rank == 0 {
+			t.Fatalf("%v: nudged %d sub-cell and %d rank-plane coordinates; want both > 0", uc, fine, rank)
+		}
+		wantF, wantPE := bruteForces(cfg, model)
+		for _, dims := range []geom.IVec3{{X: 2, Y: 1, Z: 1}, {X: 2, Y: 2, Z: 2}} {
+			cart, err := comm.NewCartDims(dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, scheme := range []Scheme{SchemeSC, SchemeFS} {
+				for _, workers := range []int{1, 3} {
+					for _, noOverlap := range []bool{false, true} {
+						label := fmt.Sprintf("%v/%v/%v/workers=%d/sync=%v", uc, dims, scheme, workers, noOverlap)
+						res, err := Run(cfg, model, Options{
+							Scheme: scheme, Cart: cart, Dt: 1, Steps: 0,
+							Workers: workers, NoOverlap: noOverlap,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						requireForces(t, label, res.Forces, res.InitialPotential, wantF, wantPE)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFineLatticeRepartitionMatchesBruteForce: after a repartition
+// rebuilds the sub-cell lattices on moved slab boundaries, SC-MD and
+// FS-MD forces still equal the brute-force reference.
+func TestFineLatticeRepartitionMatchesBruteForce(t *testing.T) {
+	cfg, model := silicaConfig(t, 4, 300, 3)
+	nudgeOntoPlanes(t, cfg, model)
+	wantF, wantPE := bruteForces(cfg, model)
+	cart, err := comm.NewCartDims(geom.IV(2, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decA, err := NewDecomp(cfg.Box, model.MaxCutoff(), cart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var starts [3][]int
+	for axis := 0; axis < 3; axis++ {
+		starts[axis] = decA.Starts(axis)
+		starts[axis][1]--
+	}
+	decB, err := NewDecompStarts(decA.Lat, cart, starts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []Scheme{SchemeSC, SchemeFS} {
+		got := make([]geom.Vec3, len(cfg.Pos))
+		pes := make([]float64, cart.Size())
+		world := comm.NewWorld(cart.Size())
+		defineTagClasses(world)
+		err := world.Run(func(p *comm.Proc) error {
+			r, err := newRankState(p, decA, model, scheme, 3, true)
+			if err != nil {
+				return err
+			}
+			r.adopt(cfg)
+			if _, err := r.computeForces(); err != nil {
+				return err
+			}
+			if err := r.repartition(decB); err != nil {
+				return err
+			}
+			pe, err := r.computeForces()
+			if err != nil {
+				return err
+			}
+			pes[p.Rank()] = pe
+			for i := 0; i < r.nOwned; i++ {
+				got[r.ids[i]] = r.force[i]
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		pe := 0.0
+		for _, e := range pes {
+			pe += e
+		}
+		requireForces(t, scheme.String()+"/repartitioned", got, pe, wantF, wantPE)
+	}
+}
+
+// TestFineLatticeGeometry: silica triplets search a 2× sub-cell
+// lattice and pairs the pair lattice; a sub-cell lattice's anchors are
+// exactly the children of the owned pair cells, interior exactly when
+// the parent pair cell is.
+func TestFineLatticeGeometry(t *testing.T) {
+	cfg, model := silicaConfig(t, 4, 0, 0)
+	for _, scheme := range []Scheme{SchemeSC, SchemeFS} {
+		cart, _ := comm.NewCartDims(geom.IV(2, 2, 1))
+		dec, err := NewDecomp(cfg.Box, model.MaxCutoff(), cart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		world := comm.NewWorld(cart.Size())
+		defineTagClasses(world)
+		err = world.Run(func(p *comm.Proc) error {
+			r, err := newRankState(p, dec, model, scheme, 1, true)
+			if err != nil {
+				return err
+			}
+			if len(r.termLat) != 2 || r.termLat[0].k != 1 || r.termLat[1].k != 2 || len(r.fine) != 1 {
+				return fmt.Errorf("term lattices k = %d, %d (%d fine), want 1, 2 (1 fine)",
+					r.termLat[0].k, r.termLat[1].k, len(r.fine))
+			}
+			if r.termLat[0].bin != r.bin {
+				return fmt.Errorf("pair term does not search the span-binned pair lattice")
+			}
+			sl := r.termLat[1]
+			if want := r.extLat.Dims.Scale(2); sl.lat.Dims != want {
+				return fmt.Errorf("sub-cell lattice dims %v, want %v", sl.lat.Dims, want)
+			}
+			interior := map[geom.IVec3]bool{}
+			for _, c := range r.interiorCells {
+				interior[c] = true
+			}
+			owned := map[geom.IVec3]bool{}
+			for _, c := range r.ownedCells {
+				owned[c] = true
+			}
+			seen := map[geom.IVec3]bool{}
+			for i, list := range [][]geom.IVec3{sl.interior, sl.boundary} {
+				for _, c := range list {
+					parent := geom.IV(c.X/2, c.Y/2, c.Z/2)
+					if !owned[parent] || seen[c] || interior[parent] != (i == 0) {
+						return fmt.Errorf("sub-cell %v (parent %v, owned %v, interior %v) in list %d",
+							c, parent, owned[parent], interior[parent], i)
+					}
+					seen[c] = true
+				}
+			}
+			if len(seen) != 8*len(r.ownedCells) {
+				return fmt.Errorf("%d sub-cell anchors for %d owned pair cells", len(seen), len(r.ownedCells))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Errorf("%v: %v", scheme, err)
+		}
+	}
+}
+
+// TestFineLatticeHaloUnchanged asserts the halo exactly: searching
+// triplets on sub-cell lattices moves no exchange traffic. The counts
+// are those of the pair-lattice search on the golden workload (six
+// steps plus the initial evaluation), bytes and messages of the halo
+// and write-back classes and the imported atoms summed over ranks.
+func TestFineLatticeHaloUnchanged(t *testing.T) {
+	cfg, model := silicaConfig(t, 4, 300, 1)
+	for i := range cfg.Pos {
+		cfg.Pos[i] = cfg.Box.Wrap(cfg.Pos[i].Add(geom.V(0.8, 0.8, 0.8)))
+	}
+	type traffic struct{ haloBytes, haloMsgs, forceBytes, forceMsgs, imported int64 }
+	cases := []struct {
+		scheme Scheme
+		dims   geom.IVec3
+		want   traffic
+	}{
+		{SchemeSC, geom.IV(2, 1, 1), traffic{488544, 42, 244272, 42, 10178}},
+		{SchemeSC, geom.IV(2, 2, 2), traffic{835968, 168, 417984, 168, 17416}},
+		{SchemeFS, geom.IV(2, 1, 1), traffic{3800832, 84, 1900416, 84, 79184}},
+		{SchemeFS, geom.IV(2, 2, 2), traffic{8606304, 336, 4303152, 336, 179298}},
+	}
+	for _, c := range cases {
+		for _, noOverlap := range []bool{false, true} {
+			cart, err := comm.NewCartDims(c.dims)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(cfg, model, Options{
+				Scheme: c.scheme, Cart: cart, Dt: 0.5, Steps: 6, Workers: 2, NoOverlap: noOverlap,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := traffic{
+				haloBytes:  res.CommByClass["halo"].Bytes,
+				haloMsgs:   res.CommByClass["halo"].Messages,
+				forceBytes: res.CommByClass["force"].Bytes,
+				forceMsgs:  res.CommByClass["force"].Messages,
+			}
+			for _, s := range res.RankStats {
+				got.imported += s.AtomsImported
+			}
+			if got != c.want {
+				t.Errorf("%v %v sync=%v: traffic %+v, want %+v", c.scheme, c.dims, noOverlap, got, c.want)
+			}
+		}
+	}
+}

@@ -256,4 +256,3 @@ func TestHopDirOverflowIsRunError(t *testing.T) {
 		t.Errorf("no typed migrate/halo error in %v", err)
 	}
 }
-

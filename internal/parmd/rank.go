@@ -112,6 +112,11 @@ type rankState struct {
 	// chunks deterministically.
 	interiorCells []geom.IVec3
 	boundaryCells []geom.IVec3
+	// termLat[t] is term t's search lattice (SC/FS only): the pair
+	// lattice above for terms whose cutoff needs whole pair cells, or a
+	// shared sub-cell lattice (fine[i]) for shorter-ranged terms.
+	termLat []*searchLattice
+	fine    []*searchLattice
 	// overlap selects the split-phase exchange (the default): post the
 	// halo sends/receives, evaluate interior cells, complete the
 	// receives, evaluate boundary cells. False runs the synchronous
@@ -424,7 +429,128 @@ func (r *rankState) initGeometry(dec *Decomp) error {
 			}
 		}
 	}
+	if r.scheme == SchemeSC || r.scheme == SchemeFS {
+		r.initSearchLattices(ext, extBox)
+	}
 	return nil
+}
+
+// searchLattice is one term's rank-local search lattice: the extended
+// lattice with every pair cell split into k³ sub-cells of side ≥ the
+// term's cutoff (§3.1.1 sizes each term's cells by its own cutoff).
+// Sub-cells nest inside pair cells, so rank boundaries, halo margins
+// and the exchange plan are those of the pair lattice, and an anchor's
+// interior/boundary class is its parent pair cell's. k = 1 is the pair
+// lattice itself with its storage-span binning; k > 1 bins CSR with
+// global-ID-ordered cell lists, so enumeration order is a pure function
+// of positions and IDs, as on the pair lattice.
+type searchLattice struct {
+	k        int
+	lat      cell.Lattice
+	bin      *cell.Binning
+	cells    []int32      // k > 1: linear sub-cell of every atom, refreshed by rebin
+	interior []geom.IVec3 // owned anchor cells whose parent pair cell is interior
+	boundary []geom.IVec3
+}
+
+// subCells returns how many sub-cells per axis a term's search lattice
+// splits each pair cell into: the most that keep the sub-cell side at
+// or above the term's cutoff (silica: 1 for pairs, 2 for triplets).
+func subCells(pairSide geom.Vec3, cutoff float64) int {
+	return max(1, int(minSide(pairSide)/cutoff))
+}
+
+// initSearchLattices assigns every SC/FS term its search lattice over
+// the extended lattice of dims ext and box extBox: the pair lattice,
+// or one shared sub-cell lattice per distinct k with anchor lists in
+// lattice order, split by the parent pair cell's interior bounds.
+func (r *rankState) initSearchLattices(ext geom.IVec3, extBox geom.Box) {
+	pair := &searchLattice{k: 1, lat: r.extLat, bin: r.bin, interior: r.interiorCells, boundary: r.boundaryCells}
+	r.termLat = r.termLat[:0]
+	r.fine = r.fine[:0]
+	for _, term := range r.model.Terms {
+		k := subCells(r.dec.Lat.Side, term.Cutoff())
+		if k == 1 {
+			r.termLat = append(r.termLat, pair)
+			continue
+		}
+		var sl *searchLattice
+		for _, f := range r.fine {
+			if f.k == k {
+				sl = f
+			}
+		}
+		if sl == nil {
+			sl = r.newFineLattice(k, ext, extBox)
+			r.fine = append(r.fine, sl)
+		}
+		r.termLat = append(r.termLat, sl)
+	}
+}
+
+// newFineLattice builds the k-fold sub-cell lattice of the extended
+// lattice and its interior/boundary anchor lists.
+func (r *rankState) newFineLattice(k int, ext geom.IVec3, extBox geom.Box) *searchLattice {
+	lat, _ := cell.NewLatticeDims(extBox, ext.Scale(k)) // ext is ≥ 1 per axis
+	sl := &searchLattice{k: k, lat: lat, bin: cell.NewBinning(lat, nil)}
+	lo := geom.IV(r.mLo, r.mLo, r.mLo).Scale(k)
+	hi := lo.Add(r.hi.Sub(r.lo).Scale(k))
+	in, ih := r.plan.InteriorLo, r.plan.InteriorHi
+	for x := lo.X; x < hi.X; x++ {
+		for y := lo.Y; y < hi.Y; y++ {
+			for z := lo.Z; z < hi.Z; z++ {
+				c := geom.IV(x, y, z)
+				if x/k >= in.X && x/k < ih.X && y/k >= in.Y && y/k < ih.Y && z/k >= in.Z && z/k < ih.Z {
+					sl.interior = append(sl.interior, c)
+				} else {
+					sl.boundary = append(sl.boundary, c)
+				}
+			}
+		}
+	}
+	return sl
+}
+
+// rebinFine refreshes a sub-cell lattice's keyed CSR binning. Each
+// atom's sub-cell is taken from its local position relative to its own
+// extended pair cell and clamped into [0, k), so it always nests in
+// the integer pair cell every rank agrees on: ranks may disagree by an
+// ulp about a halo atom's sub-cell, but never about its pair cell, and
+// the pair cells alone decide which rank anchors a tuple (DESIGN.md
+// §5.17).
+func (r *rankState) rebinFine(sl *searchLattice) {
+	n := len(r.ecell)
+	if cap(sl.cells) < n {
+		// Headroom: the halo count fluctuates with thermal motion.
+		sl.cells = make([]int32, n+n/8)
+	}
+	sl.cells = sl.cells[:n]
+	side := r.dec.Lat.Side
+	k := sl.k
+	fk := float64(k)
+	for i, ec := range r.ecell {
+		lp := r.lpos[i]
+		f := geom.IV(
+			ec.X*k+subIndex(lp.X-float64(ec.X)*side.X, fk/side.X, k),
+			ec.Y*k+subIndex(lp.Y-float64(ec.Y)*side.Y, fk/side.Y, k),
+			ec.Z*k+subIndex(lp.Z-float64(ec.Z)*side.Z, fk/side.Z, k),
+		)
+		sl.cells[i] = int32(sl.lat.Linear(f))
+	}
+	sl.bin.RebinCellsKeyed(sl.cells, r.ids)
+}
+
+// subIndex is the sub-cell index of an offset rel into its pair cell,
+// clamped into [0, k) against rounding at the cell faces.
+func subIndex(rel, perSide float64, k int) int {
+	s := int(rel * perSide)
+	if s >= k {
+		return k - 1
+	}
+	if s < 0 {
+		return 0
+	}
+	return s
 }
 
 // buildEnumerators (re)builds the tuple enumerators, which bind the
@@ -443,12 +569,12 @@ func (r *rankState) buildEnumerators() error {
 		}
 		for w := 0; w < r.workers; w++ {
 			set := r.enums[w][:0]
-			for _, term := range r.model.Terms {
+			for ti, term := range r.model.Terms {
 				pattern, err := fam.Pattern(term.N())
 				if err != nil {
 					return fmt.Errorf("parmd: %w", err)
 				}
-				en, err := tuple.NewBoundedEnumerator(r.bin, pattern, term.Cutoff(), tuple.DedupAuto)
+				en, err := tuple.NewBoundedEnumerator(r.termLat[ti].bin, pattern, term.Cutoff(), tuple.DedupAuto)
 				if err != nil {
 					return fmt.Errorf("parmd: term n=%d: %w", term.N(), err)
 				}
@@ -541,10 +667,11 @@ func (r *rankState) localPos(g geom.Vec3, kx, ky, kz int) geom.Vec3 {
 	)
 }
 
-// rebin refreshes the span binning from the current ecell assignment.
-// The owned segment is in canonical (cell, ID) order and every halo
-// phase appends whole per-cell runs, so the storage is cell-run
-// contiguous — the layout RebinSpans requires (and verifies).
+// rebin refreshes the span binning from the current ecell assignment,
+// then every sub-cell lattice's keyed CSR binning. The owned segment is
+// in canonical (cell, ID) order and every halo phase appends whole
+// per-cell runs, so the storage is cell-run contiguous — the layout
+// RebinSpans requires (and verifies).
 func (r *rankState) rebin() error {
 	if cap(r.lcell) < len(r.ecell) {
 		// Headroom: the halo count fluctuates with thermal motion; an
@@ -555,7 +682,13 @@ func (r *rankState) rebin() error {
 	for i, ec := range r.ecell {
 		r.lcell[i] = int32(r.extLat.Linear(ec))
 	}
-	return r.bin.RebinSpans(r.lcell)
+	if err := r.bin.RebinSpans(r.lcell); err != nil {
+		return err
+	}
+	for _, sl := range r.fine {
+		r.rebinFine(sl)
+	}
+	return nil
 }
 
 // canonicalizeOwned re-sorts the owned segment into (extended-lattice

@@ -31,6 +31,7 @@ package tuple
 
 import (
 	"fmt"
+	"slices"
 
 	"sctuple/internal/cell"
 	"sctuple/internal/core"
@@ -130,13 +131,29 @@ type Enumerator struct {
 	// palindromic[i] reports whether pattern path i is self-reflective.
 	palindromic []bool
 
-	// Scratch reused across cells and calls. CSR binnings resolve each
-	// offset cell to an atom-index list; span binnings resolve it to a
-	// contiguous storage range [spanLo, spanHi) walked directly — the
-	// indirection-free inner loop of the cell-sorted SoA layout.
+	// Per-anchor cell resolution. cellOff lists the pattern's distinct
+	// cell offsets (its coverage) and pathCell[i*n+k] indexes level k
+	// of path i into it. VisitCell resolves every covered cell once per
+	// anchor — storage range and image shift — and each path then reads
+	// the resolved table: SC(3) visits 27 cells through 378 paths, so
+	// resolving per path would wrap the same cells fourteen times over.
+	cellOff  []geom.IVec3
+	pathCell []int32
+	// pathSkip[i*n+k] is the first path after i whose cells up to level
+	// k differ from path i's: when level k of path i resolves empty, so
+	// does level k of every path in between (patterns are sorted, so
+	// paths sharing a prefix are contiguous and skip as one block).
+	pathSkip []int32
+	resLo    []int32 // per covered cell: span or CSR range start
+	resHi    []int32 // per covered cell: range end (== resLo when empty)
+	resShift []geom.Vec3
+
+	// Chain scratch reused across cells and calls. Each level resolves
+	// to a range [spanLo, spanHi): of storage slots walked directly for
+	// span binnings — the indirection-free inner loop of the cell-sorted
+	// SoA layout — or of the CSR atom-index array.
 	atoms  [MaxN]int32
 	pos    [MaxN]geom.Vec3
-	lists  [MaxN][]int32
 	spanLo [MaxN]int32
 	spanHi [MaxN]int32
 	shifts [MaxN]geom.Vec3
@@ -149,14 +166,8 @@ type Enumerator struct {
 // if the lattice is too small for the pattern's span (offsets would
 // alias and tuples would be double counted).
 func NewEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, dedup Dedup) (*Enumerator, error) {
-	if pattern.N() > MaxN {
-		return nil, fmt.Errorf("tuple: n=%d exceeds MaxN=%d", pattern.N(), MaxN)
-	}
-	lat := bin.Lat
-	radius := float64(pattern.StepRadius())
-	if cutoff > radius*lat.Side.X || cutoff > radius*lat.Side.Y || cutoff > radius*lat.Side.Z {
-		return nil, fmt.Errorf("tuple: cutoff %g exceeds pattern reach (step radius %g × cell side %v)",
-			cutoff, radius, lat.Side)
+	if err := checkReach(bin.Lat, pattern, cutoff); err != nil {
+		return nil, err
 	}
 	lo, hi := pattern.BoundingBox()
 	span := hi.Sub(lo).Max(geom.IVec3{})
@@ -169,29 +180,11 @@ func NewEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, ded
 	// requirement that at most one periodic image of any chain fits
 	// within the cutoff.
 	need := max(3, max(span.X, max(span.Y, span.Z))+1)
-	if !lat.MinSpanOK(need) {
+	if !bin.Lat.MinSpanOK(need) {
 		return nil, fmt.Errorf("tuple: lattice %v too small for pattern span %v (need ≥ %d cells per side)",
-			lat.Dims, span, need)
+			bin.Lat.Dims, span, need)
 	}
-	if dedup == DedupAuto {
-		if pattern.RedundancyCount() == 0 {
-			dedup = DedupPalindromic
-		} else {
-			dedup = DedupCanonical
-		}
-	}
-	e := &Enumerator{
-		bin:         bin,
-		pattern:     pattern,
-		cutoff2:     cutoff * cutoff,
-		dedup:       dedup,
-		n:           pattern.N(),
-		palindromic: make([]bool, pattern.Len()),
-	}
-	for i, p := range pattern.Paths() {
-		e.palindromic[i] = p.IsSelfReflective()
-	}
-	return e, nil
+	return newEnumerator(bin, pattern, cutoff, dedup, false), nil
 }
 
 // NewBoundedEnumerator builds an enumerator over a non-periodic
@@ -202,15 +195,29 @@ func NewEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, ded
 // atoms already shifted into the local frame. No lattice-span check is
 // needed (aliasing cannot occur without wrapping).
 func NewBoundedEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, dedup Dedup) (*Enumerator, error) {
-	if pattern.N() > MaxN {
-		return nil, fmt.Errorf("tuple: n=%d exceeds MaxN=%d", pattern.N(), MaxN)
+	if err := checkReach(bin.Lat, pattern, cutoff); err != nil {
+		return nil, err
 	}
-	lat := bin.Lat
+	return newEnumerator(bin, pattern, cutoff, dedup, true), nil
+}
+
+// checkReach validates the tuple length and that the cutoff fits the
+// pattern's per-step cell reach.
+func checkReach(lat cell.Lattice, pattern *core.Pattern, cutoff float64) error {
+	if pattern.N() > MaxN {
+		return fmt.Errorf("tuple: n=%d exceeds MaxN=%d", pattern.N(), MaxN)
+	}
 	radius := float64(pattern.StepRadius())
 	if cutoff > radius*lat.Side.X || cutoff > radius*lat.Side.Y || cutoff > radius*lat.Side.Z {
-		return nil, fmt.Errorf("tuple: cutoff %g exceeds pattern reach (step radius %g × cell side %v)",
+		return fmt.Errorf("tuple: cutoff %g exceeds pattern reach (step radius %g × cell side %v)",
 			cutoff, radius, lat.Side)
 	}
+	return nil
+}
+
+// newEnumerator resolves the dedup policy and compiles the pattern
+// into its covered-cell table and per-path indices.
+func newEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, dedup Dedup, bounded bool) *Enumerator {
 	if dedup == DedupAuto {
 		if pattern.RedundancyCount() == 0 {
 			dedup = DedupPalindromic
@@ -224,13 +231,41 @@ func NewBoundedEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float
 		cutoff2:     cutoff * cutoff,
 		dedup:       dedup,
 		n:           pattern.N(),
-		bounded:     true,
+		bounded:     bounded,
 		palindromic: make([]bool, pattern.Len()),
+		pathCell:    make([]int32, 0, pattern.Len()*pattern.N()),
 	}
+	index := make(map[geom.IVec3]int32)
 	for i, p := range pattern.Paths() {
 		e.palindromic[i] = p.IsSelfReflective()
+		for _, v := range p {
+			c, ok := index[v]
+			if !ok {
+				c = int32(len(e.cellOff))
+				index[v] = c
+				e.cellOff = append(e.cellOff, v)
+			}
+			e.pathCell = append(e.pathCell, c)
+		}
 	}
-	return e, nil
+	n := e.n
+	e.pathSkip = make([]int32, len(e.pathCell))
+	for i := pattern.Len() - 1; i >= 0; i-- {
+		for k := 0; k < n; k++ {
+			j := i + 1
+			// Path i+1 shares path i's prefix up to level k: it skips to
+			// where path i+1 would.
+			if j < pattern.Len() && slices.Equal(e.pathCell[j*n:j*n+k+1], e.pathCell[i*n:i*n+k+1]) {
+				e.pathSkip[i*n+k] = e.pathSkip[j*n+k]
+			} else {
+				e.pathSkip[i*n+k] = int32(j)
+			}
+		}
+	}
+	e.resLo = make([]int32, len(e.cellOff))
+	e.resHi = make([]int32, len(e.cellOff))
+	e.resShift = make([]geom.Vec3, len(e.cellOff))
+	return e
 }
 
 // SetKeys installs a per-atom ordering key used by the reflection
@@ -296,87 +331,86 @@ func (e *Enumerator) VisitCellsInto(cells []geom.IVec3, positions []geom.Vec3, f
 
 // VisitCell streams the cell search-space S_cell(c(q), Ψ) of Eq. 10:
 // all tuples of all paths anchored at cell q, accumulating counters
-// into st.
+// into st. Paths are applied in pattern order, so the emission
+// sequence is that of resolving each path's cells on its own; only
+// the resolution is shared.
 func (e *Enumerator) VisitCell(q geom.IVec3, positions []geom.Vec3, fn Visitor, st *Stats) {
-	if e.bin.Spans() {
-		e.visitCellSpans(q, positions, fn, st)
+	st.Cells++
+	st.PathApplications += int64(len(e.palindromic))
+	if !e.resolve(q) {
 		return
 	}
-	st.Cells++
-	lat := e.bin.Lat
-	for pi, p := range e.pattern.Paths() {
-		st.PathApplications++
-		// Resolve each offset cell once: atom list + image shift. In
-		// bounded mode, out-of-lattice cells are empty and shifts are
-		// zero (the importer pre-shifted halo atoms).
-		empty := false
-		for k, v := range p {
-			cq := q.Add(v)
-			if e.bounded {
-				if !cq.InBox(lat.Dims) {
-					empty = true
-					break
-				}
-				e.lists[k] = e.bin.CellAtomsLinear(lat.Linear(cq))
-				e.shifts[k] = geom.Vec3{}
-			} else {
-				e.lists[k] = e.bin.CellAtoms(cq)
-				e.shifts[k] = lat.ImageShift(cq)
-			}
-			if len(e.lists[k]) == 0 {
-				empty = true
+	n := e.n
+	for pi := 0; pi < len(e.palindromic); {
+		cells := e.pathCell[pi*n : pi*n+n]
+		empty := -1
+		for k, c := range cells {
+			if e.resLo[c] == e.resHi[c] {
+				empty = k
 				break
 			}
 		}
-		if empty {
+		if empty >= 0 {
+			pi = int(e.pathSkip[pi*n+empty])
 			continue
 		}
-		e.extend(0, pi, positions, fn, st)
+		for k, c := range cells {
+			e.spanLo[k], e.spanHi[k] = e.resLo[c], e.resHi[c]
+		}
+		if !e.bounded { // bounded shifts stay zero
+			for k, c := range cells {
+				e.shifts[k] = e.resShift[c]
+			}
+		}
+		if e.bin.Spans() {
+			e.extendSpan(0, pi, positions, fn, st)
+		} else {
+			e.extend(0, pi, e.bin.Atoms, positions, fn, st)
+		}
+		pi++
 	}
 }
 
-// visitCellSpans is VisitCell over a span-layout binning: each offset
-// cell resolves to a contiguous storage range instead of an index
-// list, and the chain walker iterates storage slots directly. Because
-// span storage is canonically ordered (cells sorted, keys ascending
-// within a cell), the emission sequence is identical to a CSR binning
-// whose cell lists are in the same within-cell order.
-func (e *Enumerator) visitCellSpans(q geom.IVec3, positions []geom.Vec3, fn Visitor, st *Stats) {
-	st.Cells++
+// resolve fills the covered-cell table for anchor q: each cell's
+// storage range (a span, or a range of the CSR atom array) and image
+// shift. In bounded mode out-of-lattice cells are empty and shifts
+// stay zero (the importer pre-shifted halo atoms). It reports whether
+// any covered cell holds atoms.
+func (e *Enumerator) resolve(q geom.IVec3) bool {
 	lat := e.bin.Lat
-	for pi, p := range e.pattern.Paths() {
-		st.PathApplications++
-		empty := false
-		for k, v := range p {
-			cq := q.Add(v)
-			if e.bounded {
-				if !cq.InBox(lat.Dims) {
-					empty = true
-					break
-				}
-				e.spanLo[k], e.spanHi[k] = e.bin.CellSpan(lat.Linear(cq))
-				e.shifts[k] = geom.Vec3{}
-			} else {
-				e.spanLo[k], e.spanHi[k] = e.bin.CellSpan(lat.Linear(lat.WrapCell(cq)))
-				e.shifts[k] = lat.ImageShift(cq)
+	spans := e.bin.Spans()
+	occupied := false
+	for c, v := range e.cellOff {
+		cq := q.Add(v)
+		var li int
+		if e.bounded {
+			if !cq.InBox(lat.Dims) {
+				e.resLo[c], e.resHi[c] = 0, 0
+				continue
 			}
-			if e.spanLo[k] == e.spanHi[k] {
-				empty = true
-				break
-			}
+			li = lat.Linear(cq)
+		} else {
+			li = lat.Linear(lat.WrapCell(cq))
+			e.resShift[c] = lat.ImageShift(cq)
 		}
-		if empty {
-			continue
+		if spans {
+			e.resLo[c], e.resHi[c] = e.bin.CellSpan(li)
+		} else {
+			e.resLo[c], e.resHi[c] = e.bin.Start[li], e.bin.Start[li+1]
 		}
-		e.extendSpan(0, pi, positions, fn, st)
+		if e.resLo[c] != e.resHi[c] {
+			occupied = true
+		}
 	}
+	return occupied
 }
 
 // extend grows the chain at level k by every atom of the k-th cell
-// list, pruning on duplicate atoms and on the consecutive-distance
-// cutoff, and emits completed chains.
-func (e *Enumerator) extend(k, pi int, positions []geom.Vec3, fn Visitor, st *Stats) {
-	for _, ai := range e.lists[k] {
+// list — the CSR atom indices csr[spanLo[k]:spanHi[k]] — pruning on
+// duplicate atoms and on the consecutive-distance cutoff, and emits
+// completed chains.
+func (e *Enumerator) extend(k, pi int, csr []int32, positions []geom.Vec3, fn Visitor, st *Stats) {
+	for _, ai := range csr[e.spanLo[k]:e.spanHi[k]] {
 		st.Candidates++
 		dup := false
 		for j := 0; j < k; j++ {
@@ -400,7 +434,7 @@ func (e *Enumerator) extend(k, pi int, positions []geom.Vec3, fn Visitor, st *St
 		e.atoms[k] = ai
 		e.pos[k] = r
 		if k+1 < e.n {
-			e.extend(k+1, pi, positions, fn, st)
+			e.extend(k+1, pi, csr, positions, fn, st)
 			continue
 		}
 		// Completed chain: apply the reflection policy.
