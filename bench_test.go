@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"sctuple/internal/bench"
@@ -127,11 +128,123 @@ func BenchmarkEnumerateTriplets(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e.Count(pos)
-			}
+			benchSearch(b, func(st *tuple.Stats) { e.VisitInto(pos, nopVisitor, st) })
 		})
 	}
+}
+
+// BenchmarkEnumerateRankLocal is the search a parallel SC-MD, FS-MD or
+// Hybrid-MD rank runs, in the sc-fine layout: bounded enumeration (no
+// wrapping, as over a rank's extended lattice) with atom-ID dedup keys
+// over storage in (pair cell, ID) order. Pairs search the pair lattice
+// through its spans; triplets search it split into 2³ sub-cells,
+// binned keyed CSR by ID. pairs-FS-raw is Hybrid-MD's undeduplicated
+// full-shell pair search. The configuration is 1,536-atom
+// β-cristobalite with every coordinate jittered by up to ±0.1 Å.
+func BenchmarkEnumerateRankLocal(b *testing.B) {
+	model := potential.NewSilicaModel()
+	cfg := workload.BetaCristobalite(4, 4, 4)
+	rng := rand.New(rand.NewSource(101))
+	jitter := func() float64 { return 0.2 * (rng.Float64() - 0.5) }
+	for i := range cfg.Pos {
+		cfg.Pos[i] = cfg.Box.Wrap(cfg.Pos[i].Add(geom.V(jitter(), jitter(), jitter())))
+	}
+	pairLat, err := cell.NewLattice(cfg.Box, model.MaxCutoff())
+	if err != nil {
+		b.Fatal(err)
+	}
+	subLat, err := cell.NewLatticeDims(cfg.Box, pairLat.Dims.Scale(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cellsOf := func(lat cell.Lattice) []int32 {
+		cells := make([]int32, cfg.N())
+		for i, r := range cfg.Pos {
+			cells[i] = int32(lat.Linear(lat.CellOf(r)))
+		}
+		return cells
+	}
+	// Storage in pair-cell order, as a rank keeps it; the slot index
+	// doubles as the atom ID.
+	pairCell := func(r geom.Vec3) int { return pairLat.Linear(pairLat.CellOf(r)) }
+	slices.SortStableFunc(cfg.Pos, func(a, b geom.Vec3) int { return pairCell(a) - pairCell(b) })
+	ids := make([]int64, cfg.N())
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	pairBin := &cell.Binning{Lat: pairLat}
+	if err := pairBin.RebinSpans(cellsOf(pairLat)); err != nil {
+		b.Fatal(err)
+	}
+	subBin := &cell.Binning{Lat: subLat}
+	subBin.RebinCellsKeyed(cellsOf(subLat), ids)
+	for _, tc := range []struct {
+		name    string
+		bin     *cell.Binning
+		pattern *core.Pattern
+		term    int
+		dedup   tuple.Dedup
+	}{
+		{"pairs-SC", pairBin, core.SC(2), 0, tuple.DedupAuto},
+		{"pairs-FS", pairBin, core.FS(2), 0, tuple.DedupAuto},
+		{"pairs-FS-raw", pairBin, core.FS(2), 0, tuple.DedupNone},
+		{"triplets-SC", subBin, core.SC(3), 1, tuple.DedupAuto},
+		{"triplets-FS", subBin, core.FS(3), 1, tuple.DedupAuto},
+	} {
+		e, err := tuple.NewBoundedEnumerator(tc.bin, tc.pattern, model.Terms[tc.term].Cutoff(), tc.dedup)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e.SetKeys(ids)
+		b.Run(tc.name, func(b *testing.B) {
+			benchSearch(b, func(st *tuple.Stats) { e.VisitInto(cfg.Pos, nopVisitor, st) })
+		})
+	}
+}
+
+// BenchmarkEnumerateQuadruplets is the n = 4 search of the torsion
+// model's four-body term on its 512-atom fluid (scmd -model torsion),
+// periodic cells sized by the torsion cutoff.
+func BenchmarkEnumerateQuadruplets(b *testing.B) {
+	model := potential.NewTorsionModel(0.05, 1.8, 0.02, 1.0, 2.5, 12.0)
+	cfg := workload.LJFluid(rand.New(rand.NewSource(1)), 512, 0.2, 1.0)
+	term := model.Terms[1]
+	lat, err := cell.NewLattice(cfg.Box, term.Cutoff())
+	if err != nil {
+		b.Fatal(err)
+	}
+	bin := cell.NewBinning(lat, cfg.Pos)
+	for _, tc := range []struct {
+		name    string
+		pattern *core.Pattern
+	}{
+		{"SC", core.SC(4)},
+		{"FS", core.FS(4)},
+	} {
+		e, err := tuple.NewEnumerator(bin, tc.pattern, term.Cutoff(), tuple.DedupAuto)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			benchSearch(b, func(st *tuple.Stats) { e.VisitInto(cfg.Pos, nopVisitor, st) })
+		})
+	}
+}
+
+func nopVisitor([]int32, []geom.Vec3) {}
+
+// benchSearch times visit, one full enumeration per iteration, and
+// reports the time per Eq. 12 search candidate and per emitted tuple.
+func benchSearch(b *testing.B, visit func(*tuple.Stats)) {
+	var st tuple.Stats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st = tuple.Stats{}
+		visit(&st)
+	}
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns/float64(st.Candidates), "ns/candidate")
+	b.ReportMetric(ns/float64(st.Emitted), "ns/tuple")
 }
 
 // --- Ablations (DESIGN.md §4) ---

@@ -31,6 +31,7 @@ package tuple
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"sctuple/internal/cell"
@@ -77,13 +78,18 @@ func (d Dedup) String() string {
 	return "unknown"
 }
 
-// Stats accumulates the operation counts of an enumeration. The search
-// cost of the paper's Eq. 12 corresponds to Candidates: the number of
-// partial-chain extensions the engine examined.
+// Stats accumulates the operation counts of an enumeration. The
+// counters keep the per-path meaning of the paper's Eq. 12: they count
+// what walking every (anchor, path) chain on its own would examine, so
+// Candidates is the model search cost, not the executed work. The
+// engine searches each prefix shared by a block of paths once per
+// anchor and credits its counts to every path of the block that
+// reaches its last level; only the time per candidate reflects the
+// sharing.
 type Stats struct {
 	Cells            int   // cells visited
 	PathApplications int64 // (cell, path) combinations processed
-	Candidates       int64 // partial chains extended (search cost)
+	Candidates       int64 // partial chains extended (Eq. 12 search cost)
 	DistancePruned   int64 // chains cut by the consecutive-distance test
 	DuplicateAtom    int64 // chains cut because an atom repeated
 	ReflectionCut    int64 // tuples cut by the dedup policy
@@ -119,6 +125,13 @@ type Visitor func(atoms []int32, pos []geom.Vec3)
 // configuration. Construct with NewEnumerator; an Enumerator is
 // stateful scratch and must not be shared between goroutines, but
 // many Enumerators may share the same Binning.
+//
+// Paths are walked as prefix blocks: maximal runs of consecutive paths
+// that share their first n−1 cells. Per anchor, a block's surviving
+// (n−1)-atom chains are built once and every path of the block extends
+// only its last level over them. The emission sequence is exactly that
+// of walking each path's nested loops on its own, and Stats keep their
+// per-path meaning.
 type Enumerator struct {
 	bin     *cell.Binning
 	pattern *core.Pattern
@@ -131,32 +144,57 @@ type Enumerator struct {
 	// palindromic[i] reports whether pattern path i is self-reflective.
 	palindromic []bool
 
-	// Per-anchor cell resolution. cellOff lists the pattern's distinct
-	// cell offsets (its coverage) and pathCell[i*n+k] indexes level k
-	// of path i into it. VisitCell resolves every covered cell once per
-	// anchor — storage range and image shift — and each path then reads
-	// the resolved table: SC(3) visits 27 cells through 378 paths, so
-	// resolving per path would wrap the same cells fourteen times over.
-	cellOff  []geom.IVec3
-	pathCell []int32
-	// pathSkip[i*n+k] is the first path after i whose cells up to level
-	// k differ from path i's: when level k of path i resolves empty, so
-	// does level k of every path in between (patterns are sorted, so
-	// paths sharing a prefix are contiguous and skip as one block).
-	pathSkip []int32
-	resLo    []int32 // per covered cell: span or CSR range start
-	resHi    []int32 // per covered cell: range end (== resLo when empty)
-	resShift []geom.Vec3
+	// Compiled pattern. cellOff lists the pattern's distinct cell
+	// offsets (its coverage). Block b holds paths blockLo[b] up to
+	// blockLo[b+1]; blockCell[b*(n-1)+k] indexes level k of its shared
+	// prefix into cellOff, and pathLast[i] indexes path i's last cell.
+	// A prefix that recurs non-contiguously (an unsorted pattern) just
+	// opens another block.
+	cellOff   []geom.IVec3
+	blockLo   []int32
+	blockCell []int32
+	pathLast  []int32
+	// blockSkip[b*(n-1)+k] is the first block after b whose prefix
+	// differs from b's within levels 0…k: when level k of block b
+	// resolves empty, so does every block in between.
+	blockSkip []int32
+	// An atom lies in one cell and one path's cells are distinct
+	// lattice cells, so an atom can repeat within a chain only where a
+	// cell does. blockDup[b*(n-1)+k] and pathDup[i] are bitmasks of the
+	// earlier levels sharing the cell of prefix level k and of path i's
+	// last level; only those are compared.
+	blockDup []uint8
+	pathDup  []uint8
 
-	// Chain scratch reused across cells and calls. Each level resolves
-	// to a range [spanLo, spanHi): of storage slots walked directly for
-	// span binnings — the indirection-free inner loop of the cell-sorted
-	// SoA layout — or of the CSR atom-index array.
-	atoms  [MaxN]int32
-	pos    [MaxN]geom.Vec3
-	spanLo [MaxN]int32
-	spanHi [MaxN]int32
-	shifts [MaxN]geom.Vec3
+	// Per-anchor cell table. VisitCell resolves every covered cell once
+	// per anchor (wrap, image shift, storage range); covered cell c then
+	// occupies [resLo[c], resHi[c]) of cellAtoms and cellPos, its atoms
+	// and image-resolved positions, so the chain loops below never see
+	// the span-versus-CSR layout or an image shift. Those are copies
+	// gathered into gatherAtoms/gatherPos, except on bounded span
+	// binnings: there a slot is its atom and needs no shift, so they are
+	// the identity slot map and the positions themselves.
+	resLo       []int32
+	resHi       []int32
+	resShift    []geom.Vec3
+	cellAtoms   []int32
+	cellPos     []geom.Vec3
+	gatherAtoms []int32
+	gatherPos   []geom.Vec3
+	slots       []int32
+
+	// Chain scratch, reused across cells and calls. Level k holds
+	// chainLen[k] chains of k+1 atoms, flat with stride k+1, in
+	// (a0, …, ak) lexicographic order — the order of the nested loops.
+	// Level 0 aliases the block's first prefix cell in cellAtoms/cellPos.
+	chainAtoms [MaxN][]int32
+	chainPos   [MaxN][]geom.Vec3
+	chainLen   [MaxN]int
+	prefix     Stats // search counts of the current block's prefix
+
+	// The tuple handed to the visitor.
+	atoms [MaxN]int32
+	pos   [MaxN]geom.Vec3
 }
 
 // NewEnumerator builds an enumerator for the given binning, pattern,
@@ -204,8 +242,8 @@ func NewBoundedEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float
 // checkReach validates the tuple length and that the cutoff fits the
 // pattern's per-step cell reach.
 func checkReach(lat cell.Lattice, pattern *core.Pattern, cutoff float64) error {
-	if pattern.N() > MaxN {
-		return fmt.Errorf("tuple: n=%d exceeds MaxN=%d", pattern.N(), MaxN)
+	if pattern.N() < 2 || pattern.N() > MaxN {
+		return fmt.Errorf("tuple: n=%d outside [2, MaxN=%d]", pattern.N(), MaxN)
 	}
 	radius := float64(pattern.StepRadius())
 	if cutoff > radius*lat.Side.X || cutoff > radius*lat.Side.Y || cutoff > radius*lat.Side.Z {
@@ -216,7 +254,7 @@ func checkReach(lat cell.Lattice, pattern *core.Pattern, cutoff float64) error {
 }
 
 // newEnumerator resolves the dedup policy and compiles the pattern
-// into its covered-cell table and per-path indices.
+// into its covered-cell table and prefix blocks.
 func newEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, dedup Dedup, bounded bool) *Enumerator {
 	if dedup == DedupAuto {
 		if pattern.RedundancyCount() == 0 {
@@ -225,40 +263,53 @@ func newEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, ded
 			dedup = DedupCanonical
 		}
 	}
+	n := pattern.N()
 	e := &Enumerator{
 		bin:         bin,
 		pattern:     pattern,
 		cutoff2:     cutoff * cutoff,
 		dedup:       dedup,
-		n:           pattern.N(),
+		n:           n,
 		bounded:     bounded,
 		palindromic: make([]bool, pattern.Len()),
-		pathCell:    make([]int32, 0, pattern.Len()*pattern.N()),
+		pathLast:    make([]int32, pattern.Len()),
+		pathDup:     make([]uint8, pattern.Len()),
 	}
 	index := make(map[geom.IVec3]int32)
+	cells := make([]int32, n)
 	for i, p := range pattern.Paths() {
 		e.palindromic[i] = p.IsSelfReflective()
-		for _, v := range p {
+		for k, v := range p {
 			c, ok := index[v]
 			if !ok {
 				c = int32(len(e.cellOff))
 				index[v] = c
 				e.cellOff = append(e.cellOff, v)
 			}
-			e.pathCell = append(e.pathCell, c)
+			cells[k] = c
 		}
+		nb := len(e.blockLo)
+		if nb == 0 || !slices.Equal(e.blockCell[(nb-1)*(n-1):], cells[:n-1]) {
+			e.blockLo = append(e.blockLo, int32(i))
+			e.blockCell = append(e.blockCell, cells[:n-1]...)
+			for k := range n - 1 {
+				e.blockDup = append(e.blockDup, sameCell(cells, k))
+			}
+		}
+		e.pathLast[i] = cells[n-1]
+		e.pathDup[i] = sameCell(cells, n-1)
 	}
-	n := e.n
-	e.pathSkip = make([]int32, len(e.pathCell))
-	for i := pattern.Len() - 1; i >= 0; i-- {
-		for k := 0; k < n; k++ {
-			j := i + 1
-			// Path i+1 shares path i's prefix up to level k: it skips to
-			// where path i+1 would.
-			if j < pattern.Len() && slices.Equal(e.pathCell[j*n:j*n+k+1], e.pathCell[i*n:i*n+k+1]) {
-				e.pathSkip[i*n+k] = e.pathSkip[j*n+k]
+	e.blockLo = append(e.blockLo, int32(pattern.Len()))
+	nb := len(e.blockLo) - 1
+	e.blockSkip = make([]int32, len(e.blockCell))
+	for b := nb - 1; b >= 0; b-- {
+		for k := range n - 1 {
+			// Block b+1 shares block b's prefix up to level k: it skips
+			// to where block b+1 would.
+			if b+1 < nb && slices.Equal(e.blockCell[(b+1)*(n-1):(b+1)*(n-1)+k+1], e.blockCell[b*(n-1):b*(n-1)+k+1]) {
+				e.blockSkip[b*(n-1)+k] = e.blockSkip[(b+1)*(n-1)+k]
 			} else {
-				e.pathSkip[i*n+k] = int32(j)
+				e.blockSkip[b*(n-1)+k] = int32(b + 1)
 			}
 		}
 	}
@@ -266,6 +317,18 @@ func newEnumerator(bin *cell.Binning, pattern *core.Pattern, cutoff float64, ded
 	e.resHi = make([]int32, len(e.cellOff))
 	e.resShift = make([]geom.Vec3, len(e.cellOff))
 	return e
+}
+
+// sameCell returns the bitmask of the levels below k whose cell is
+// level k's.
+func sameCell(cells []int32, k int) uint8 {
+	var mask uint8
+	for j := range k {
+		if cells[j] == cells[k] {
+			mask |= 1 << j
+		}
+	}
+	return mask
 }
 
 // SetKeys installs a per-atom ordering key used by the reflection
@@ -331,55 +394,160 @@ func (e *Enumerator) VisitCellsInto(cells []geom.IVec3, positions []geom.Vec3, f
 
 // VisitCell streams the cell search-space S_cell(c(q), Ψ) of Eq. 10:
 // all tuples of all paths anchored at cell q, accumulating counters
-// into st. Paths are applied in pattern order, so the emission
-// sequence is that of resolving each path's cells on its own; only
-// the resolution is shared.
+// into st. Paths are applied in pattern order and each path's chains
+// come out in the order of its nested loops, so the emission sequence
+// is that of walking every path on its own; only cell resolution and
+// the prefix chains of each block are shared.
 func (e *Enumerator) VisitCell(q geom.IVec3, positions []geom.Vec3, fn Visitor, st *Stats) {
 	st.Cells++
-	st.PathApplications += int64(len(e.palindromic))
-	if !e.resolve(q) {
+	st.PathApplications += int64(len(e.pathLast))
+	if !e.resolve(q, positions) {
 		return
 	}
 	n := e.n
-	for pi := 0; pi < len(e.palindromic); {
-		cells := e.pathCell[pi*n : pi*n+n]
-		empty := -1
-		for k, c := range cells {
-			if e.resLo[c] == e.resHi[c] {
-				empty = k
-				break
-			}
-		}
-		if empty >= 0 {
-			pi = int(e.pathSkip[pi*n+empty])
+	resLo, resHi := e.resLo, e.resHi
+	for b := 0; b+1 < len(e.blockLo); b++ {
+		if k := e.firstEmpty(e.blockCell[b*(n-1) : (b+1)*(n-1)]); k >= 0 {
+			b = int(e.blockSkip[b*(n-1)+k]) - 1
 			continue
 		}
-		for k, c := range cells {
-			e.spanLo[k], e.spanHi[k] = e.resLo[c], e.resHi[c]
-		}
-		if !e.bounded { // bounded shifts stay zero
-			for k, c := range cells {
-				e.shifts[k] = e.resShift[c]
+		built := false
+		first := int(e.blockLo[b])
+		for i, last := range e.pathLast[first:e.blockLo[b+1]] {
+			if resLo[last] == resHi[last] {
+				continue
+			}
+			if !built {
+				e.buildPrefix(b)
+				built = true
+			}
+			st.Candidates += e.prefix.Candidates
+			st.DuplicateAtom += e.prefix.DuplicateAtom
+			st.DistancePruned += e.prefix.DistancePruned
+			if e.chainLen[n-2] > 0 {
+				e.extend(n-1, last, e.pathDup[first+i], first+i, fn, st)
 			}
 		}
-		if e.bin.Spans() {
-			e.extendSpan(0, pi, positions, fn, st)
-		} else {
-			e.extend(0, pi, e.bin.Atoms, positions, fn, st)
-		}
-		pi++
 	}
 }
 
-// resolve fills the covered-cell table for anchor q: each cell's
-// storage range (a span, or a range of the CSR atom array) and image
-// shift. In bounded mode out-of-lattice cells are empty and shifts
+// firstEmpty returns the index of the first of the covered cells that
+// holds no atoms, or -1.
+func (e *Enumerator) firstEmpty(cells []int32) int {
+	for k, c := range cells {
+		if e.resLo[c] == e.resHi[c] {
+			return k
+		}
+	}
+	return -1
+}
+
+// buildPrefix builds the chains of levels 0…n−2 over block b's prefix
+// cells and records their search counts in e.prefix. Level 0 is the
+// first cell's atoms themselves, a view of cellAtoms/cellPos.
+func (e *Enumerator) buildPrefix(b int) {
+	n := e.n
+	cells := e.blockCell[b*(n-1) : (b+1)*(n-1)]
+	e.prefix = Stats{}
+	c := cells[0]
+	lo, hi := e.resLo[c], e.resHi[c]
+	e.chainAtoms[0], e.chainPos[0] = e.cellAtoms[lo:hi], e.cellPos[lo:hi]
+	e.chainLen[0] = int(hi - lo)
+	e.prefix.Candidates = int64(hi - lo)
+	for k := 1; k < len(cells); k++ {
+		e.extend(k, cells[k], e.blockDup[b*(n-1)+k], 0, nil, &e.prefix)
+	}
+}
+
+// extend grows every level-(k−1) chain by each atom of covered cell c,
+// pruning on duplicate atoms (checking only the levels set in dup) and
+// on the consecutive-distance cutoff. Below the last level the
+// survivors become the level-k chains; at the last level they are
+// complete tuples of path pi, which the reflection policy filters
+// before they are emitted. It is the one chain-growing loop: span and
+// CSR binnings differ only in how resolve lays out their cells.
+func (e *Enumerator) extend(k int, c int32, dup uint8, pi int, fn Visitor, st *Stats) {
+	cand := e.cellAtoms[e.resLo[c]:e.resHi[c]]
+	cpos := e.cellPos[e.resLo[c]:e.resHi[c]]
+	chains := e.chainLen[k-1]
+	parAtoms, parPos := e.chainAtoms[k-1][:chains*k], e.chainPos[k-1][:chains*k]
+	last := k == e.n-1
+	var nextAtoms []int32
+	var nextPos []geom.Vec3
+	var reflect bool
+	if last {
+		reflect = e.dedup == DedupCanonical || e.dedup == DedupPalindromic && e.palindromic[pi]
+	} else {
+		// At most every (chain, candidate) pair survives.
+		need := chains * len(cand) * (k + 1)
+		nextAtoms = growScratch(&e.chainAtoms[k], need)
+		nextPos = growScratch(&e.chainPos[k], need)
+	}
+	m := 0
+	for ch := 0; ch < chains; ch++ {
+		atoms, pos := parAtoms[ch*k:ch*k+k], parPos[ch*k:ch*k+k]
+		tail := pos[k-1]
+		st.Candidates += int64(len(cand))
+		staged := false // chain copied into the visitor's tuple
+		for j, ai := range cand {
+			if dup != 0 && repeats(atoms, dup, ai) {
+				st.DuplicateAtom++
+				continue
+			}
+			r := cpos[j]
+			if d := r.Sub(tail); d.Norm2() >= e.cutoff2 {
+				st.DistancePruned++
+				continue
+			}
+			if !last {
+				next := m * (k + 1)
+				for i := range k { // a loop: copy would call memmove per chain
+					nextAtoms[next+i], nextPos[next+i] = atoms[i], pos[i]
+				}
+				nextAtoms[next+k], nextPos[next+k] = ai, r
+				m++
+				continue
+			}
+			if reflect && e.keyOf(atoms[0]) > e.keyOf(ai) {
+				st.ReflectionCut++
+				continue
+			}
+			if !staged {
+				for i := range k {
+					e.atoms[i], e.pos[i] = atoms[i], pos[i]
+				}
+				staged = true
+			}
+			e.atoms[k], e.pos[k] = ai, r
+			st.Emitted++
+			fn(e.atoms[:k+1], e.pos[:k+1])
+		}
+	}
+	if !last {
+		e.chainLen[k] = m
+	}
+}
+
+// repeats reports whether atom a is among the chain atoms at the
+// levels set in mask.
+func repeats(atoms []int32, mask uint8, a int32) bool {
+	for ; mask != 0; mask &= mask - 1 {
+		if atoms[bits.TrailingZeros8(mask)] == a {
+			return true
+		}
+	}
+	return false
+}
+
+// resolve fills the covered-cell table for anchor q and points
+// cellAtoms/cellPos at each covered cell's atoms and image-resolved
+// positions. In bounded mode out-of-lattice cells are empty and shifts
 // stay zero (the importer pre-shifted halo atoms). It reports whether
 // any covered cell holds atoms.
-func (e *Enumerator) resolve(q geom.IVec3) bool {
+func (e *Enumerator) resolve(q geom.IVec3, positions []geom.Vec3) bool {
 	lat := e.bin.Lat
 	spans := e.bin.Spans()
-	occupied := false
+	total := int32(0)
 	for c, v := range e.cellOff {
 		cq := q.Add(v)
 		var li int
@@ -398,109 +566,59 @@ func (e *Enumerator) resolve(q geom.IVec3) bool {
 		} else {
 			e.resLo[c], e.resHi[c] = e.bin.Start[li], e.bin.Start[li+1]
 		}
-		if e.resLo[c] != e.resHi[c] {
-			occupied = true
-		}
+		total += e.resHi[c] - e.resLo[c]
 	}
-	return occupied
+	if total == 0 {
+		return false
+	}
+	if e.bounded && spans {
+		// A zero shift changes only a −0.0 coordinate, which neither
+		// wrapped nor rank-local positions hold: reading the stored
+		// positions in place is bit-identical to shifting them.
+		if len(e.slots) < len(positions) {
+			n := len(positions)
+			e.slots = make([]int32, n+n/8)
+			for i := range e.slots {
+				e.slots[i] = int32(i)
+			}
+		}
+		e.cellAtoms, e.cellPos = e.slots, positions
+		return true
+	}
+	atoms := growScratch(&e.gatherAtoms, int(total))
+	pos := growScratch(&e.gatherPos, int(total))
+	e.cellAtoms, e.cellPos = atoms, pos
+	g := int32(0)
+	for c := range e.cellOff {
+		lo, hi := e.resLo[c], e.resHi[c]
+		if lo == hi {
+			continue
+		}
+		shift := e.resShift[c] // zero in bounded mode
+		for s := lo; s < hi; s++ {
+			ai := s
+			if !spans {
+				ai = e.bin.Atoms[s]
+			}
+			atoms[g+s-lo] = ai
+			pos[g+s-lo] = positions[ai].Add(shift)
+		}
+		e.resLo[c], e.resHi[c] = g, g+hi-lo
+		g += hi - lo
+	}
+	return true
 }
 
-// extend grows the chain at level k by every atom of the k-th cell
-// list — the CSR atom indices csr[spanLo[k]:spanHi[k]] — pruning on
-// duplicate atoms and on the consecutive-distance cutoff, and emits
-// completed chains.
-func (e *Enumerator) extend(k, pi int, csr []int32, positions []geom.Vec3, fn Visitor, st *Stats) {
-	for _, ai := range csr[e.spanLo[k]:e.spanHi[k]] {
-		st.Candidates++
-		dup := false
-		for j := 0; j < k; j++ {
-			if e.atoms[j] == ai {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			st.DuplicateAtom++
-			continue
-		}
-		r := positions[ai].Add(e.shifts[k])
-		if k > 0 {
-			d := r.Sub(e.pos[k-1])
-			if d.Norm2() >= e.cutoff2 {
-				st.DistancePruned++
-				continue
-			}
-		}
-		e.atoms[k] = ai
-		e.pos[k] = r
-		if k+1 < e.n {
-			e.extend(k+1, pi, csr, positions, fn, st)
-			continue
-		}
-		// Completed chain: apply the reflection policy.
-		switch e.dedup {
-		case DedupPalindromic:
-			if e.palindromic[pi] && e.keyOf(e.atoms[0]) > e.keyOf(e.atoms[e.n-1]) {
-				st.ReflectionCut++
-				continue
-			}
-		case DedupCanonical:
-			if e.keyOf(e.atoms[0]) > e.keyOf(e.atoms[e.n-1]) {
-				st.ReflectionCut++
-				continue
-			}
-		}
-		st.Emitted++
-		fn(e.atoms[:e.n], e.pos[:e.n])
+// growScratch returns (*buf)[:n], reallocating with an eighth of
+// headroom when the capacity falls short: chain and gather sizes
+// fluctuate with thermal motion, and an exact fit would reallocate at
+// every new high-water mark.
+func growScratch[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n+n/8)
 	}
-}
-
-// extendSpan is extend for span-layout binnings: level k's candidates
-// are the storage slots [spanLo[k], spanHi[k]) themselves — no
-// indirection load in the hot loop.
-func (e *Enumerator) extendSpan(k, pi int, positions []geom.Vec3, fn Visitor, st *Stats) {
-	for ai := e.spanLo[k]; ai < e.spanHi[k]; ai++ {
-		st.Candidates++
-		dup := false
-		for j := 0; j < k; j++ {
-			if e.atoms[j] == ai {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			st.DuplicateAtom++
-			continue
-		}
-		r := positions[ai].Add(e.shifts[k])
-		if k > 0 {
-			d := r.Sub(e.pos[k-1])
-			if d.Norm2() >= e.cutoff2 {
-				st.DistancePruned++
-				continue
-			}
-		}
-		e.atoms[k] = ai
-		e.pos[k] = r
-		if k+1 < e.n {
-			e.extendSpan(k+1, pi, positions, fn, st)
-			continue
-		}
-		switch e.dedup {
-		case DedupPalindromic:
-			if e.palindromic[pi] && e.keyOf(e.atoms[0]) > e.keyOf(e.atoms[e.n-1]) {
-				st.ReflectionCut++
-				continue
-			}
-		case DedupCanonical:
-			if e.keyOf(e.atoms[0]) > e.keyOf(e.atoms[e.n-1]) {
-				st.ReflectionCut++
-				continue
-			}
-		}
-		st.Emitted++
-		fn(e.atoms[:e.n], e.pos[:e.n])
-	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // Count runs the enumeration without a visitor and returns the stats.
