@@ -138,9 +138,12 @@ func BenchmarkEnumerateTriplets(b *testing.B) {
 // wrapping, as over a rank's extended lattice) with atom-ID dedup keys
 // over storage in (pair cell, ID) order. Pairs search the pair lattice
 // through its spans; triplets search it split into 2³ sub-cells,
-// binned keyed CSR by ID. pairs-FS-raw is Hybrid-MD's undeduplicated
-// full-shell pair search. The configuration is 1,536-atom
-// β-cristobalite with every coordinate jittered by up to ±0.1 Å.
+// binned keyed CSR by ID. pairs-FS-raw times the enumerator form of
+// Hybrid-MD's undeduplicated full-shell pair search; Hybrid ranks no
+// longer run it, they fill each atom's list row directly
+// (BenchmarkHybridRows in internal/parmd times that). The
+// configuration is 1,536-atom β-cristobalite with every coordinate
+// jittered by up to ±0.1 Å.
 func BenchmarkEnumerateRankLocal(b *testing.B) {
 	model := potential.NewSilicaModel()
 	cfg := workload.BetaCristobalite(4, 4, 4)

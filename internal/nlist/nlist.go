@@ -7,6 +7,7 @@ package nlist
 
 import (
 	"fmt"
+	"slices"
 
 	"sctuple/internal/cell"
 	"sctuple/internal/core"
@@ -43,7 +44,9 @@ type half struct {
 // expensive to redo each step), the half-pair staging array, the CSR
 // fill cursors, and the list storage itself. Storage grows in place
 // and is reused across rebuilds: at warm capacity a rebuild allocates
-// nothing.
+// nothing. Growth keeps an eighth of headroom: the atom and pair
+// counts fluctuate with thermal motion, and an exact fit would
+// reallocate at every new high-water mark.
 type Builder struct {
 	cutoff float64
 	enum   *tuple.Enumerator
@@ -75,7 +78,7 @@ func (b *Builder) Build(positions []geom.Vec3) (*PairList, error) {
 	pl := &b.pl
 	pl.Cutoff = b.cutoff
 	if cap(pl.Start) < n+1 {
-		pl.Start = make([]int32, n+1)
+		pl.Start = make([]int32, n+1+n/8)
 	}
 	pl.Start = pl.Start[:n+1]
 	clear(pl.Start)
@@ -84,6 +87,7 @@ func (b *Builder) Build(positions []geom.Vec3) (*PairList, error) {
 	pl.BuildStats = b.enum.Visit(positions, func(atoms []int32, pos []geom.Vec3) {
 		b.pairs = append(b.pairs, half{atoms[0], atoms[1], pos[1].Sub(pos[0])})
 	})
+	b.pairs = slices.Grow(b.pairs, len(b.pairs)/8)
 
 	// Count degrees, prefix-sum, fill both directions.
 	for _, p := range b.pairs {
@@ -95,15 +99,15 @@ func (b *Builder) Build(positions []geom.Vec3) (*PairList, error) {
 	}
 	total := int(pl.Start[n])
 	if cap(pl.Nbr) < total {
-		pl.Nbr = make([]int32, total)
-		pl.Disp = make([]geom.Vec3, total)
-		pl.Dist = make([]float64, total)
+		pl.Nbr = make([]int32, total+total/8)
+		pl.Disp = make([]geom.Vec3, total+total/8)
+		pl.Dist = make([]float64, total+total/8)
 	}
 	pl.Nbr = pl.Nbr[:total]
 	pl.Disp = pl.Disp[:total]
 	pl.Dist = pl.Dist[:total]
 	if cap(b.fill) < n {
-		b.fill = make([]int32, n)
+		b.fill = make([]int32, n+n/8)
 	}
 	fill := b.fill[:n]
 	clear(fill)

@@ -5,6 +5,7 @@ import (
 
 	"sctuple/internal/geom"
 	"sctuple/internal/kernel"
+	"sctuple/internal/tuple"
 )
 
 // computeForces runs one complete force evaluation and returns this
@@ -84,9 +85,9 @@ func (r *rankState) computeForces() (float64, error) {
 // evalInterior runs the interior stage under the force:interior span —
 // the work whose duration is the overlap budget for hiding the halo
 // receives. For SC/FS it evaluates every term over interior cells; for
-// Hybrid it runs the raw pair search anchored there (the evaluation
-// loops need the complete directed list, so they stay in the boundary
-// stage).
+// Hybrid it fills the list rows of the atoms in interior cells (the
+// evaluation loops need the complete directed list, so they stay in
+// the boundary stage).
 // Both stages also accumulate their wall time into RankStats.ForceNs —
 // the force-work measure the adaptive balancer weighs ranks by. It is
 // timed here, around the pure compute, so halo-wait time between the
@@ -98,17 +99,21 @@ func (r *rankState) evalInterior() {
 	case SchemeSC, SchemeFS:
 		r.evalCellTerms(false)
 	case SchemeHybrid:
-		r.hybridSearch(r.interiorCells, true)
+		r.hybridFill(r.interiorCells, true, &r.acc.Slot(0).Enum)
 	}
 	sp.End()
 	r.stats.ForceNs += time.Since(start).Nanoseconds()
 }
 
 // evalBoundary runs the boundary stage once the halo is complete. For
-// SC/FS it is the force:boundary span over boundary cells; for Hybrid
-// it finishes the raw search over boundary cells, builds the directed
-// list, and runs the pair/triplet evaluation loops under their own
-// spans (matching the serial Hybrid engine's phase decomposition).
+// SC/FS it is the force:boundary span over boundary cells. For Hybrid
+// it fills the rows of the atoms in boundary cells, completing the
+// directed list, then runs the pair and triplet loops under their own
+// spans (the serial Hybrid engine's phase decomposition): pair forces
+// from the list (each pair evaluated on exactly one rank, chosen by
+// global ID), and triplets pruned from each owned center's complete
+// row. Both loops walk owned atoms in global-ID order (idOrder), so
+// the forces are bit-identical under the canonical cell sort.
 func (r *rankState) evalBoundary() {
 	start := time.Now()
 	switch r.scheme {
@@ -118,10 +123,15 @@ func (r *rankState) evalBoundary() {
 		sp.End()
 	case SchemeHybrid:
 		sp := r.rec.StartSpan(phaseSearch)
-		r.hybridSearch(r.boundaryCells, false)
-		r.hybridBuildList()
+		slot0 := r.acc.Slot(0)
+		r.hybridFill(r.boundaryCells, false, &slot0.Enum)
+		slot0.PairEntries += int64(len(r.hybEntries))
 		sp.End()
-		r.hybridEval()
+		r.ensureIDOrder()
+		kernel.RunTimed(r.rec, kernel.TermPhase(2), r.acc.Slots(), r.workers, r.hybPairFn)
+		if r.tripTerm != nil {
+			kernel.RunTimed(r.rec, kernel.TermPhase(3), r.acc.Slots(), r.workers, r.hybTripFn)
+		}
 	}
 	r.stats.ForceNs += time.Since(start).Nanoseconds()
 }
@@ -152,75 +162,69 @@ type hybridEntry struct {
 	dist float64
 }
 
-// rawPair is one raw emission of the FS(2) search, before bucketing
-// into the directed list.
-type rawPair struct {
-	i, j int32
-	disp geom.Vec3
-}
-
-// hybridSearch runs the raw full-shell pair search anchored at the
-// given cell subset, appending emissions to the directed-list scratch.
-// reset starts a fresh step (the interior stage); the boundary stage
-// appends to it. Anchors are owned cells, so every emission's first
-// atom is owned and the count array, sized by owned atoms, is valid
-// even before the halo arrives. The search is serial — it is the
+// hybridFill fills the list rows of the owned atoms in the given
+// anchor cells (DESIGN.md §5.19): row hybEntries[hybLo[i]:hybHi[i]] lists
+// every j within the pair cutoff over the FS(2) cells in pattern order,
+// each in storage order — the order a bounded FS(2) enumeration emits
+// i's pairs in — and st gains that enumeration's counters. reset starts
+// a step (the interior stage). The fill is serial — it is the
 // sequential dependence §6 contrasts SC against.
-func (r *rankState) hybridSearch(cells []geom.IVec3, reset bool) {
-	slot0 := r.acc.Slot(0)
-	if cap(r.hybCounts) < r.nOwned+1 {
-		// Headroom: the owned count fluctuates under migration; an exact
-		// fit would reallocate at every new high-water mark.
-		r.hybCounts = make([]int32, r.nOwned+1+r.nOwned/8)
-		r.hybFill = make([]int32, r.nOwned+r.nOwned/8)
+func (r *rankState) hybridFill(cells []geom.IVec3, reset bool, st *tuple.Stats) {
+	if cap(r.hybLo) < r.nOwned {
+		// Headroom: the owned count fluctuates under migration.
+		r.hybLo, r.hybHi = make([]int32, r.nOwned+r.nOwned/8), make([]int32, r.nOwned+r.nOwned/8)
 	}
-	r.hybCounts = r.hybCounts[:r.nOwned+1]
+	r.hybLo, r.hybHi = r.hybLo[:r.nOwned], r.hybHi[:r.nOwned]
 	if reset {
-		clear(r.hybCounts)
-		r.hybRaw = r.hybRaw[:0]
+		r.hybEntries, r.hybFilled = r.hybEntries[:0], 0
 	}
-	r.pairEnum.VisitCellsInto(cells, r.lpos, r.hybEmit, &slot0.Enum)
-}
-
-// hybridBuildList buckets the raw emissions into the directed list:
-// start offsets per owned atom, then a stable fill. Raw order is
-// interior anchors first, then boundary anchors — fixed by the cell
-// partition, so the per-atom entry order (and with it the evaluation
-// order) is identical in both exchange modes.
-func (r *rankState) hybridBuildList() {
-	counts := r.hybCounts[:r.nOwned+1]
-	for i := 0; i < r.nOwned; i++ {
-		counts[i+1] += counts[i]
+	rc2 := r.pairTerm.Cutoff() * r.pairTerm.Cutoff()
+	rows := r.hybEntries
+	var lo, hi [len(r.hybOff)]int32
+	for _, q := range cells {
+		st.Cells++
+		st.PathApplications += int64(len(r.hybOff))
+		// Anchors are owned cells and the margins are at least one cell
+		// thick, so every covered cell lies on the extended lattice.
+		aLo, aHi := r.bin.CellSpan(r.extLat.Linear(q))
+		nA, covered := int64(aHi-aLo), 0
+		for c, v := range r.hybOff {
+			lo[c], hi[c] = r.bin.CellSpan(r.extLat.Linear(q.Add(v)))
+			if n := int(hi[c] - lo[c]); n > 0 {
+				st.Candidates += nA * int64(1+n)
+				covered += n
+			}
+		}
+		for i := aLo; i < aHi; i++ {
+			if len(rows)+covered > cap(rows) {
+				// Grow to the step total projected from the rows filled so
+				// far, plus an eighth of headroom (DESIGN.md §5.12).
+				need := len(rows) + covered
+				if filled := r.hybFilled + int(i-aLo); filled > 0 {
+					need = max(need, len(rows)*r.nOwned/filled)
+				}
+				rows = append(make([]hybridEntry, 0, need+need/8), rows...)
+			}
+			ri := r.lpos[i]
+			r.hybLo[i] = int32(len(rows))
+			for c := range r.hybOff {
+				for j := lo[c]; j < hi[c]; j++ {
+					if j == i {
+						st.DuplicateAtom++
+						continue
+					}
+					d := r.lpos[j].Sub(ri)
+					if d.Norm2() >= rc2 {
+						st.DistancePruned++
+						continue
+					}
+					rows = append(rows, hybridEntry{j: j, disp: d, dist: d.Norm()})
+				}
+			}
+			r.hybHi[i] = int32(len(rows))
+			st.Emitted += int64(r.hybHi[i] - r.hybLo[i])
+		}
+		r.hybFilled += int(nA)
 	}
-	if cap(r.hybEntries) < len(r.hybRaw) {
-		// An eighth of headroom: the pair count fluctuates with thermal
-		// motion, and an exact fit would reallocate at every new
-		// high-water mark for the life of the run.
-		r.hybEntries = make([]hybridEntry, 0, len(r.hybRaw)+len(r.hybRaw)/8)
-	}
-	r.hybEntries = r.hybEntries[:len(r.hybRaw)]
-	entries := r.hybEntries
-	fill := r.hybFill[:r.nOwned]
-	clear(fill)
-	for _, p := range r.hybRaw {
-		k := counts[p.i] + fill[p.i]
-		entries[k] = hybridEntry{j: p.j, disp: p.disp, dist: p.disp.Norm()}
-		fill[p.i]++
-	}
-	r.acc.Slot(0).PairEntries += int64(len(entries))
-}
-
-// hybridEval is the Hybrid-MD force evaluation over the completed
-// directed list: pair forces from the list (each pair evaluated on
-// exactly one rank, chosen by global ID), and triplets pruned from
-// each owned center's complete neighbor list. Both loops shard the
-// owned atoms by global-ID rank and walk them in ID order (idOrder),
-// so the accumulation stream — and with it the forces, bit for bit —
-// is invariant under the canonical cell sort of the storage.
-func (r *rankState) hybridEval() {
-	r.ensureIDOrder()
-	kernel.RunTimed(r.rec, kernel.TermPhase(2), r.acc.Slots(), r.workers, r.hybPairFn)
-	if r.tripTerm != nil {
-		kernel.RunTimed(r.rec, kernel.TermPhase(3), r.acc.Slots(), r.workers, r.hybTripFn)
-	}
+	r.hybEntries = rows
 }

@@ -126,8 +126,7 @@ type rankState struct {
 	// enums holds one enumerator set per worker goroutine (enumerators
 	// are scratch and must not be shared between goroutines),
 	// enums[w][term].
-	enums    [][]*tuple.Enumerator
-	pairEnum *tuple.Enumerator // Hybrid: FS(2) raw pair search
+	enums [][]*tuple.Enumerator
 
 	// workers is the intra-rank force-evaluation parallelism (the
 	// thread half of the paper's hybrid rank×thread execution); acc is
@@ -155,14 +154,17 @@ type rankState struct {
 
 	// Hybrid scheme only: the model's pair/triplet terms plus the
 	// hoisted directed-list and pruning scratch, reused across steps.
+	// hybOff holds the last cells of the FS(2) paths in pattern order
+	// (each path starts at its anchor); hybFilled counts the owned atoms
+	// whose list rows this step has filled.
 	pairTerm   potential.Term
 	tripTerm   potential.Term
-	hybCounts  []int32
-	hybFill    []int32
-	hybRaw     []rawPair
+	hybOff     [27]geom.IVec3
 	hybEntries []hybridEntry
-	tripShort  [][]int32 // per-worker pruning scratch
-	hybEmit    tuple.Visitor
+	hybLo      []int32
+	hybHi      []int32
+	hybFilled  int
+	tripShort  [][]int32                                        // per-worker pruning scratch
 	hybPairV   []func(i, j int32, disp geom.Vec3, dist float64) // per slot
 	hybTripV   []func(atoms [3]int32, pos [3]geom.Vec3)         // per slot
 	hybPairFn  func(w, s int)
@@ -295,12 +297,11 @@ func newRankState(p *comm.Proc, dec *Decomp, model *potential.Model, scheme Sche
 		for w := range r.tripShort {
 			r.tripShort[w] = make([]int32, 0, 64)
 		}
-		// Hoisted search emission plus per-slot evaluation visitors and
-		// shard closures — the Hybrid analogue of the SC/FS visitor cache.
-		r.hybEmit = func(atoms []int32, pos []geom.Vec3) {
-			r.hybRaw = append(r.hybRaw, rawPair{atoms[0], atoms[1], pos[1].Sub(pos[0])})
-			r.hybCounts[atoms[0]+1]++
+		for k, path := range core.FS(2).Paths() {
+			r.hybOff[k] = path[1]
 		}
+		// Per-slot evaluation visitors and shard closures — the Hybrid
+		// analogue of the SC/FS visitor cache.
 		for s := 0; s < r.acc.Slots(); s++ {
 			slot := r.acc.Slot(s)
 			pairK := kernel.TermKernel{Term: r.pairTerm, Species: &r.species}
@@ -320,14 +321,12 @@ func newRankState(p *comm.Proc, dec *Decomp, model *potential.Model, scheme Sche
 			if lo >= hi {
 				return
 			}
-			counts := r.hybCounts
 			entries := r.hybEntries
 			pv := r.hybPairV[s]
 			for t := lo; t < hi; t++ {
 				i := r.idOrder[t]
 				idI := r.ids[i]
-				for k := counts[i]; k < counts[i+1]; k++ {
-					e := entries[k]
+				for _, e := range entries[r.hybLo[i]:r.hybHi[i]] {
 					if idI >= r.ids[e.j] {
 						continue
 					}
@@ -341,7 +340,6 @@ func newRankState(p *comm.Proc, dec *Decomp, model *potential.Model, scheme Sche
 				return
 			}
 			slot := r.acc.Slot(s)
-			counts := r.hybCounts
 			entries := r.hybEntries
 			tv := r.hybTripV[s]
 			rc3 := r.tripTerm.Cutoff()
@@ -349,7 +347,7 @@ func newRankState(p *comm.Proc, dec *Decomp, model *potential.Model, scheme Sche
 			for t := lo; t < hi; t++ {
 				j := r.idOrder[t]
 				short = short[:0]
-				for k := counts[j]; k < counts[j+1]; k++ {
+				for k := r.hybLo[j]; k < r.hybHi[j]; k++ {
 					slot.Enum.Candidates++
 					if entries[k].dist < rc3 {
 						short = append(short, k)
@@ -553,41 +551,36 @@ func subIndex(rel, perSide float64, k int) int {
 	return s
 }
 
-// buildEnumerators (re)builds the tuple enumerators, which bind the
-// current binning: the per-worker SC/FS sets, or the Hybrid raw pair
-// search. The evaluation closures read them through r.enums/r.pairEnum
-// at call time, so a rebuild after repartition needs no closure work.
+// buildEnumerators (re)builds the per-worker SC/FS tuple enumerators,
+// which bind the current search lattices. The evaluation closures read
+// them through r.enums at call time, so a rebuild after repartition
+// needs no closure work. Hybrid ranks fill their list rows directly
+// and build none.
 func (r *rankState) buildEnumerators() error {
-	switch r.scheme {
-	case SchemeSC, SchemeFS:
-		fam := md.FamilySC
-		if r.scheme == SchemeFS {
-			fam = md.FamilyFS
-		}
-		if r.enums == nil {
-			r.enums = make([][]*tuple.Enumerator, r.workers)
-		}
-		for w := 0; w < r.workers; w++ {
-			set := r.enums[w][:0]
-			for ti, term := range r.model.Terms {
-				pattern, err := fam.Pattern(term.N())
-				if err != nil {
-					return fmt.Errorf("parmd: %w", err)
-				}
-				en, err := tuple.NewBoundedEnumerator(r.termLat[ti].bin, pattern, term.Cutoff(), tuple.DedupAuto)
-				if err != nil {
-					return fmt.Errorf("parmd: term n=%d: %w", term.N(), err)
-				}
-				set = append(set, en)
+	if r.scheme == SchemeHybrid {
+		return nil
+	}
+	fam := md.FamilySC
+	if r.scheme == SchemeFS {
+		fam = md.FamilyFS
+	}
+	if r.enums == nil {
+		r.enums = make([][]*tuple.Enumerator, r.workers)
+	}
+	for w := 0; w < r.workers; w++ {
+		set := r.enums[w][:0]
+		for ti, term := range r.model.Terms {
+			pattern, err := fam.Pattern(term.N())
+			if err != nil {
+				return fmt.Errorf("parmd: %w", err)
 			}
-			r.enums[w] = set
+			en, err := tuple.NewBoundedEnumerator(r.termLat[ti].bin, pattern, term.Cutoff(), tuple.DedupAuto)
+			if err != nil {
+				return fmt.Errorf("parmd: term n=%d: %w", term.N(), err)
+			}
+			set = append(set, en)
 		}
-	case SchemeHybrid:
-		en, err := tuple.NewBoundedEnumerator(r.bin, core.FS(2), r.pairTerm.Cutoff(), tuple.DedupNone)
-		if err != nil {
-			return err
-		}
-		r.pairEnum = en
+		r.enums[w] = set
 	}
 	return nil
 }

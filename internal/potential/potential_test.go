@@ -90,6 +90,33 @@ func TestVashishtaPairForces(t *testing.T) {
 	}
 }
 
+// TestStericPowMatchesMathPow: the steric term's integer power is
+// bit-identical to math.Pow for the model's exponents and the rest of
+// the fast path's range, and falls back to it outside.
+func TestStericPowMatchesMathPow(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(x, y float64) {
+		t.Helper()
+		if got, want := stericPow(x, y), math.Pow(x, y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("stericPow(%v, %v) = %v (%#x), math.Pow %v (%#x)",
+				x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, eta := range []float64{1, 2, 3, 7, 9, 11, 12, 16} {
+		for k := 0; k < 200000; k++ {
+			check(0.05+6*rng.Float64(), eta)
+		}
+		for _, x := range []float64{1, 0x1p-30, 0x1p30, math.Nextafter(0x1p-30, 0), 1e-200, 1e200, 0, math.Inf(1)} {
+			check(x, eta)
+		}
+	}
+	for _, eta := range []float64{0, 2.5, 17, 40, -3, math.NaN()} {
+		for k := 0; k < 1000; k++ {
+			check(0.05+6*rng.Float64(), eta)
+		}
+	}
+}
+
 func TestVashishtaPairSymmetric(t *testing.T) {
 	m := NewSilicaModel()
 	pair := m.Terms[0]

@@ -137,12 +137,35 @@ func newVashishtaPair(rc float64, params [][]VashishtaPairParams) *vashishtaPair
 
 // vashishtaPairRaw returns the unshifted V₂(r) and its derivative.
 func vashishtaPairRaw(p VashishtaPairParams, r float64) (v, dv float64) {
-	steric := p.H / math.Pow(r, p.Eta)
+	steric := p.H / stericPow(r, p.Eta)
 	coul := p.ZZ * CoulombConstant * math.Exp(-r/p.Lambda) / r
 	dip := -p.D / (r * r * r * r) * math.Exp(-r/p.Xi)
 	v = steric + coul + dip
 	dv = -p.Eta*steric/r - coul*(1/r+1/p.Lambda) + dip*(-4/r-1/p.Xi)
 	return v, dv
+}
+
+// stericPow returns x^y. For the integral exponents of the steric term
+// it multiplies the successive squarings of x selected by the bits of
+// y, in the order math.Pow does, without its special-case, Modf, Frexp
+// and Ldexp work. math.Pow squares the mantissa and keeps the exponent
+// apart, but rounding is scale-free while every intermediate is a
+// normal float, which the guard on x and y ensures (x^32 stays within
+// 2^±960), so the result is bit-identical to math.Pow(x, y). Other
+// inputs fall back to math.Pow.
+func stericPow(x, y float64) float64 {
+	n := int(y)
+	if float64(n) != y || n < 1 || n > 16 || x < 0x1p-30 || x > 0x1p30 {
+		return math.Pow(x, y)
+	}
+	a, p := 1.0, x
+	for ; n != 0; n >>= 1 {
+		if n&1 == 1 {
+			a *= p
+		}
+		p *= p
+	}
+	return a
 }
 
 // N returns 2.
