@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build test test-short race bench bench-record bench-compare figures examples vet fmt fmt-check
+.PHONY: all check build test test-short race bench bench-harness bench-record bench-compare figures examples vet fmt fmt-check
 
 all: check
 
@@ -31,6 +31,13 @@ race:
 
 bench:
 	go test -bench=. -benchmem -run XXX ./...
+
+# One iteration of every Enumerate*/Ablation* benchmark and of the
+# Hybrid-MD list-row benchmark: fails only when a benchmark's setup or
+# run breaks (the CI bench-harness job runs the same two commands).
+bench-harness:
+	go test -run '^$$' -bench 'Enumerate|Ablation' -benchtime 1x .
+	go test -run '^$$' -bench HybridRows -benchtime 1x ./internal/parmd
 
 # Record a benchmark baseline (BENCH_<gitsha>.json) and diff two
 # recordings; see EXPERIMENTS.md "Recording and comparing benchmarks".

@@ -141,7 +141,9 @@ func BenchmarkEnumerateTriplets(b *testing.B) {
 // binned keyed CSR by ID. pairs-FS-raw times the enumerator form of
 // Hybrid-MD's undeduplicated full-shell pair search; Hybrid ranks no
 // longer run it, they fill each atom's list row directly
-// (BenchmarkHybridRows in internal/parmd times that). The
+// (BenchmarkHybridRows in internal/parmd times that). The -masked
+// triplet cases apply the silica triplet term's species link table, as
+// the force-evaluating ranks do; the others search geometrically. The
 // configuration is 1,536-atom β-cristobalite with every coordinate
 // jittered by up to ±0.1 Å.
 func BenchmarkEnumerateRankLocal(b *testing.B) {
@@ -170,7 +172,16 @@ func BenchmarkEnumerateRankLocal(b *testing.B) {
 	// Storage in pair-cell order, as a rank keeps it; the slot index
 	// doubles as the atom ID.
 	pairCell := func(r geom.Vec3) int { return pairLat.Linear(pairLat.CellOf(r)) }
-	slices.SortStableFunc(cfg.Pos, func(a, b geom.Vec3) int { return pairCell(a) - pairCell(b) })
+	order := make([]int, cfg.N())
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return pairCell(cfg.Pos[a]) - pairCell(cfg.Pos[b]) })
+	pos, species := make([]geom.Vec3, cfg.N()), make([]int32, cfg.N())
+	for k, i := range order {
+		pos[k], species[k] = cfg.Pos[i], cfg.Species[i]
+	}
+	cfg.Pos, cfg.Species = pos, species
 	ids := make([]int64, cfg.N())
 	for i := range ids {
 		ids[i] = int64(i)
@@ -187,18 +198,25 @@ func BenchmarkEnumerateRankLocal(b *testing.B) {
 		pattern *core.Pattern
 		term    int
 		dedup   tuple.Dedup
+		masked  bool
 	}{
-		{"pairs-SC", pairBin, core.SC(2), 0, tuple.DedupAuto},
-		{"pairs-FS", pairBin, core.FS(2), 0, tuple.DedupAuto},
-		{"pairs-FS-raw", pairBin, core.FS(2), 0, tuple.DedupNone},
-		{"triplets-SC", subBin, core.SC(3), 1, tuple.DedupAuto},
-		{"triplets-FS", subBin, core.FS(3), 1, tuple.DedupAuto},
+		{"pairs-SC", pairBin, core.SC(2), 0, tuple.DedupAuto, false},
+		{"pairs-FS", pairBin, core.FS(2), 0, tuple.DedupAuto, false},
+		{"pairs-FS-raw", pairBin, core.FS(2), 0, tuple.DedupNone, false},
+		{"triplets-SC", subBin, core.SC(3), 1, tuple.DedupAuto, false},
+		{"triplets-FS", subBin, core.FS(3), 1, tuple.DedupAuto, false},
+		{"triplets-SC-masked", subBin, core.SC(3), 1, tuple.DedupAuto, true},
+		{"triplets-FS-masked", subBin, core.FS(3), 1, tuple.DedupAuto, true},
 	} {
-		e, err := tuple.NewBoundedEnumerator(tc.bin, tc.pattern, model.Terms[tc.term].Cutoff(), tc.dedup)
+		term := model.Terms[tc.term]
+		e, err := tuple.NewBoundedEnumerator(tc.bin, tc.pattern, term.Cutoff(), tc.dedup)
 		if err != nil {
 			b.Fatal(err)
 		}
 		e.SetKeys(ids)
+		if tc.masked {
+			e.SetLinks(cfg.Species, potential.SpeciesLinks(term))
+		}
 		b.Run(tc.name, func(b *testing.B) {
 			benchSearch(b, func(st *tuple.Stats) { e.VisitInto(cfg.Pos, nopVisitor, st) })
 		})
@@ -307,9 +325,10 @@ func BenchmarkAblationShift(b *testing.B) {
 
 // BenchmarkAblationHybridPrune contrasts Hybrid-MD's pair-list triplet
 // pruning against the SC cell search on the same silica system — the
-// §5 trade-off driving Figure 8's crossover.
+// §5 trade-off driving Figure 8's crossover. Both search
+// geometrically, so the candidate counts are those of Eq. 12.
 func BenchmarkAblationHybridPrune(b *testing.B) {
-	model := potential.NewSilicaModel()
+	model := potential.WithoutLinks(potential.NewSilicaModel())
 	rng := rand.New(rand.NewSource(2))
 	cfg := workload.UniformSilica(rng, 3000)
 	sys, err := md.NewSystem(cfg, model)

@@ -131,8 +131,9 @@ func (e *ConcurrentCellEngine) bind(sys *System) {
 		e.visitors = append(e.visitors, vs)
 	}
 	for w := range e.enums {
-		for ti := range e.enums[w] {
+		for ti, term := range e.model.Terms {
 			e.enums[w][ti].SetKeys(sys.ID)
+			e.enums[w][ti].SetLinks(sys.Species, potential.SpeciesLinks(term))
 		}
 	}
 	e.runFn = func(w, s int) {

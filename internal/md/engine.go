@@ -163,10 +163,11 @@ func (e *CellEngine) Name() string { return e.family.String() + "-MD" }
 // Lattice returns the cell lattice of term i.
 func (e *CellEngine) Lattice(i int) cell.Lattice { return e.lats[i] }
 
-// bind caches the per-term visitors and enumerator dedup keys for one
-// System. The visitors read species, forces, and positions through
-// pointers, so they survive re-sorts; only switching the engine to a
-// different System rebuilds them.
+// bind caches the per-term visitors, enumerator dedup keys and species
+// link tables for one System. The visitors read species, forces, and
+// positions through pointers, and the keys and tables alias the
+// System's arrays, so they survive re-sorts; only switching the engine
+// to a different System rebuilds them.
 func (e *CellEngine) bind(sys *System) {
 	if e.boundTo == sys {
 		return
@@ -178,6 +179,7 @@ func (e *CellEngine) bind(sys *System) {
 		k := kernel.TermKernel{Term: term, Species: &sys.Species}
 		e.visitors = append(e.visitors, k.Visitor(slot))
 		e.enums[ti].SetKeys(sys.ID)
+		e.enums[ti].SetLinks(sys.Species, potential.SpeciesLinks(term))
 	}
 }
 
@@ -225,6 +227,10 @@ type HybridEngine struct {
 	bin     *cell.Binning
 	pair    potential.Term
 	triplet potential.Term // nil when the model is pair-only
+	// tripLinks is the triplet term's species link table: triplet
+	// pruning drops neighbours whose link to the center it does not
+	// admit (nil admits all).
+	tripLinks [][]bool
 
 	canonLat cell.Lattice
 
@@ -269,6 +275,7 @@ func NewHybridEngine(model *potential.Model, box geom.Box) (*HybridEngine, error
 				return nil, fmt.Errorf("md: hybrid engine supports one triplet term")
 			}
 			e.triplet = t
+			e.tripLinks = potential.SpeciesLinks(t)
 		default:
 			return nil, fmt.Errorf("md: hybrid engine cannot handle n=%d terms", t.N())
 		}
@@ -413,7 +420,7 @@ func (e *HybridEngine) Compute(sys *System) (float64, error) {
 	pl.VisitPairsOrdered(sys.SlotByID(), sys.ID, e.pairV)
 
 	if e.triplet != nil {
-		tst := pl.VisitTripletsOrdered(sys.SlotByID(), sys.Pos, e.triplet.Cutoff(), e.tripV)
+		tst := pl.VisitTripletsOrdered(sys.SlotByID(), sys.Pos, sys.Species, e.tripLinks, e.triplet.Cutoff(), e.tripV)
 		// The pruning scan and the neighbor-pair expansion are the
 		// triplet search cost of Hybrid-MD.
 		slot.Enum.Candidates += tst.ShortNeighbors + tst.PairsExamined

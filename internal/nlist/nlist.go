@@ -219,7 +219,7 @@ func (pl *PairList) VisitTriplets(positions []geom.Vec3, rcut3 float64,
 	var st TripletStats
 	n := len(pl.Start) - 1
 	for j := 0; j < n; j++ {
-		pl.visitTripletsAround(int32(j), positions, rcut3, fn, &st)
+		pl.visitTripletsAround(int32(j), positions, nil, nil, rcut3, fn, &st)
 	}
 	return st
 }
@@ -227,24 +227,33 @@ func (pl *PairList) VisitTriplets(positions []geom.Vec3, rcut3 float64,
 // VisitTripletsOrdered is VisitTriplets with centers walked in the
 // given order (storage slots in global-ID order) — the cell-sorted
 // counterpart, matching the accumulation order of ID-ordered storage.
-func (pl *PairList) VisitTripletsOrdered(order []int32, positions []geom.Vec3, rcut3 float64,
-	fn func(atoms [3]int32, pos [3]geom.Vec3)) TripletStats {
+// A non-nil species link table (potential.SpeciesLinks) further drops
+// every neighbour whose link to the center it does not admit, so only
+// triplets the term can give a nonzero contribution are visited.
+func (pl *PairList) VisitTripletsOrdered(order []int32, positions []geom.Vec3, species []int32, links [][]bool,
+	rcut3 float64, fn func(atoms [3]int32, pos [3]geom.Vec3)) TripletStats {
 
 	var st TripletStats
 	for _, j := range order {
-		pl.visitTripletsAround(j, positions, rcut3, fn, &st)
+		pl.visitTripletsAround(j, positions, species, links, rcut3, fn, &st)
 	}
 	return st
 }
 
-// visitTripletsAround expands the pruned triplets centered on atom j.
-func (pl *PairList) visitTripletsAround(j int32, positions []geom.Vec3, rcut3 float64,
-	fn func(atoms [3]int32, pos [3]geom.Vec3), st *TripletStats) {
+// visitTripletsAround expands the pruned triplets centered on atom j,
+// keeping the neighbours within rcut3 whose link to j the species link
+// table admits (all of them for a nil table).
+func (pl *PairList) visitTripletsAround(j int32, positions []geom.Vec3, species []int32, links [][]bool,
+	rcut3 float64, fn func(atoms [3]int32, pos [3]geom.Vec3), st *TripletStats) {
 
+	var admit []bool
+	if links != nil {
+		admit = links[species[j]]
+	}
 	short := pl.short[:0]
 	for k := pl.Start[j]; k < pl.Start[j+1]; k++ {
 		st.ShortNeighbors++
-		if pl.Dist[k] < rcut3 {
+		if pl.Dist[k] < rcut3 && (admit == nil || admit[species[pl.Nbr[k]]]) {
 			short = append(short, k)
 		}
 	}

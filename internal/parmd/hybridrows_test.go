@@ -62,8 +62,11 @@ func compareRows(r *rankState, want [][]hybridEntry) error {
 // checkHybridRows compares the rows the last force evaluation built
 // with the reference, and that evaluation's counters (RankStats deltas
 // since before) with the ones the reference implies: the search's
-// candidates plus the triplet pruning's, and the list entries. It then
-// refills the rows on their own and compares every search counter.
+// candidates plus the triplet pruning's, and the list entries. The
+// pruning keeps an entry for the triplet expansion when it lies within
+// the triplet cutoff and the triplet term's species link table admits
+// its link to the center. It then refills the rows on their own and
+// compares every search counter.
 func checkHybridRows(r *rankState, before RankStats) error {
 	want, wantSt, err := referenceRows(r)
 	if err != nil {
@@ -74,10 +77,11 @@ func checkHybridRows(r *rankState, before RankStats) error {
 	}
 	var entries, pruning int64
 	rc3 := r.tripTerm.Cutoff()
-	for _, row := range want {
+	links := potential.SpeciesLinks(r.tripTerm)
+	for i, row := range want {
 		short := int64(0)
 		for _, e := range row {
-			if e.dist < rc3 {
+			if e.dist < rc3 && (links == nil || links[r.species[i]][r.species[e.j]]) {
 				short++
 			}
 		}

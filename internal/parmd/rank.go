@@ -127,6 +127,11 @@ type rankState struct {
 	// are scratch and must not be shared between goroutines),
 	// enums[w][term].
 	enums [][]*tuple.Enumerator
+	// links[term] is the term's species link table
+	// (potential.SpeciesLinks; nil admits every pair). The SC/FS
+	// enumerators and Hybrid's triplet pruning drop tuples with a link
+	// it does not admit, whose contribution the term defines as zero.
+	links [][][]bool
 
 	// workers is the intra-rank force-evaluation parallelism (the
 	// thread half of the paper's hybrid rank×thread execution); acc is
@@ -159,6 +164,7 @@ type rankState struct {
 	// whose list rows this step has filled.
 	pairTerm   potential.Term
 	tripTerm   potential.Term
+	tripLinks  [][]bool // the triplet term's species link table
 	hybOff     [27]geom.IVec3
 	hybEntries []hybridEntry
 	hybLo      []int32
@@ -240,15 +246,18 @@ func newRankState(p *comm.Proc, dec *Decomp, model *potential.Model, scheme Sche
 		return nil, err
 	}
 	r.mLo, r.mHi = mLo, mHi
+	for _, term := range model.Terms {
+		r.links = append(r.links, potential.SpeciesLinks(term))
+	}
 	if scheme == SchemeHybrid {
 		// One raw (both orientations) full-shell pair search; pair and
 		// triplet terms are both served from the resulting list.
-		for _, term := range model.Terms {
+		for ti, term := range model.Terms {
 			switch term.N() {
 			case 2:
 				r.pairTerm = term
 			case 3:
-				r.tripTerm = term
+				r.tripTerm, r.tripLinks = term, r.links[ti]
 			default:
 				return nil, fmt.Errorf("parmd: Hybrid-MD cannot handle n=%d terms", term.N())
 			}
@@ -289,6 +298,7 @@ func newRankState(p *comm.Proc, dec *Decomp, model *potential.Model, scheme Sche
 			}
 			en := r.enums[w][r.curTerm]
 			en.SetKeys(r.ids)
+			en.SetLinks(r.species, r.links[r.curTerm])
 			slot := r.acc.Slot(s)
 			en.VisitCellsInto(cells[lo:hi], r.lpos, r.cellVisitors[s][r.curTerm], &slot.Enum)
 		}
@@ -343,13 +353,20 @@ func newRankState(p *comm.Proc, dec *Decomp, model *potential.Model, scheme Sche
 			entries := r.hybEntries
 			tv := r.hybTripV[s]
 			rc3 := r.tripTerm.Cutoff()
+			species := r.species
 			short := r.tripShort[w][:0]
 			for t := lo; t < hi; t++ {
 				j := r.idOrder[t]
 				short = short[:0]
+				// A neighbour whose link to the center the triplet term's
+				// table does not admit ends only zero-valued triplets.
+				var admit []bool
+				if r.tripLinks != nil {
+					admit = r.tripLinks[species[j]]
+				}
 				for k := r.hybLo[j]; k < r.hybHi[j]; k++ {
 					slot.Enum.Candidates++
-					if entries[k].dist < rc3 {
+					if entries[k].dist < rc3 && (admit == nil || admit[species[entries[k].j]]) {
 						short = append(short, k)
 					}
 				}

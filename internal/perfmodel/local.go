@@ -76,7 +76,7 @@ func calibrateLocal() (Machine, error) {
 // reference system and returns measured / Xeon-modeled time. The
 // minimum over a few repetitions rejects scheduling noise.
 func measureComputeScale(xeon Machine) (float64, error) {
-	model := potential.NewSilicaModel()
+	model := potential.WithoutLinks(potential.NewSilicaModel()) // the searches MeasureRates counts
 	cfg := workload.UniformSilica(rand.New(rand.NewSource(1)), referenceN)
 	sys, err := md.NewSystem(cfg, model)
 	if err != nil {

@@ -13,9 +13,10 @@ import (
 
 // Rates holds the per-owned-atom, per-step operation counts of one
 // scheme on the silica workload, measured by running the repository's
-// real serial engines on a uniform reference system. These are
-// density-dependent constants (the benchmarks keep ⟨ρ_cell⟩ fixed, as
-// the paper does in §5.1), so they scale linearly to any granularity.
+// real serial engines on a uniform reference system, searching
+// geometrically (potential.WithoutLinks). These are density-dependent
+// constants (the benchmarks keep ⟨ρ_cell⟩ fixed, as the paper does in
+// §5.1), so they scale linearly to any granularity.
 type Rates struct {
 	SearchPerAtom   float64 // tuple-search candidates examined
 	PathsPerAtom    float64 // (cell, path) pattern applications
@@ -49,7 +50,7 @@ func MeasureRates(scheme parmd.Scheme) (Rates, error) {
 }
 
 func measureAll() (map[parmd.Scheme]Rates, error) {
-	model := potential.NewSilicaModel()
+	model := potential.WithoutLinks(potential.NewSilicaModel())
 	cfg := workload.UniformSilica(rand.New(rand.NewSource(1)), referenceN)
 	out := make(map[parmd.Scheme]Rates)
 	for _, scheme := range parmd.Schemes() {

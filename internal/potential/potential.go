@@ -46,6 +46,45 @@ type Term interface {
 	Eval(species []int32, pos []geom.Vec3, f []geom.Vec3) float64
 }
 
+// SpeciesLinker is implemented by terms whose tuples vanish unless
+// every consecutive pair of members has an admitted species pair. A
+// tuple search may then drop a chain at its first inadmissible link:
+// Eval of any tuple containing one returns exactly 0 and leaves f
+// untouched.
+type SpeciesLinker interface {
+	// SpeciesLinks returns the symmetric n_s × n_s link table: entry
+	// [a][b] admits a link between species a and b when some tuple with
+	// a nonzero contribution has it as a link at some position. It is
+	// nil when every pair is admitted.
+	SpeciesLinks() [][]bool
+}
+
+// SpeciesLinks returns the link table of a term (see SpeciesLinker),
+// or nil when the term declares none or admits every pair.
+func SpeciesLinks(t Term) [][]bool {
+	if l, ok := t.(SpeciesLinker); ok {
+		return l.SpeciesLinks()
+	}
+	return nil
+}
+
+// WithoutLinks returns a model with m's species and terms in which no
+// term declares a link table, so every search over it is purely
+// geometric: the force set and search counts of the paper's Eq. 12,
+// for sites that count tuples rather than evaluate them. Energies and
+// forces are m's.
+func WithoutLinks(m *Model) *Model {
+	g := &Model{Name: m.Name, Species: m.Species}
+	for _, t := range m.Terms {
+		g.Terms = append(g.Terms, geometricTerm{t})
+	}
+	return g
+}
+
+// geometricTerm promotes only the Term methods of the term it wraps,
+// hiding any SpeciesLinks.
+type geometricTerm struct{ Term }
+
 // Species describes one atom type of a model.
 type Species struct {
 	Name string

@@ -139,10 +139,15 @@ func newVashishtaPair(rc float64, params [][]VashishtaPairParams) *vashishtaPair
 func vashishtaPairRaw(p VashishtaPairParams, r float64) (v, dv float64) {
 	steric := p.H / stericPow(r, p.Eta)
 	coul := p.ZZ * CoulombConstant * math.Exp(-r/p.Lambda) / r
+	v = steric + coul
+	dv = -p.Eta*steric/r - coul*(1/r+1/p.Lambda)
+	if p.D == 0 {
+		// The charge-dipole term would add −0 to v and +0 to dv, neither
+		// of which changes a nonzero sum: skip its math.Exp (Si–Si).
+		return v, dv
+	}
 	dip := -p.D / (r * r * r * r) * math.Exp(-r/p.Xi)
-	v = steric + coul + dip
-	dv = -p.Eta*steric/r - coul*(1/r+1/p.Lambda) + dip*(-4/r-1/p.Xi)
-	return v, dv
+	return v + dip, dv + dip*(-4/r-1/p.Xi)
 }
 
 // stericPow returns x^y. For the integral exponents of the steric term
@@ -192,6 +197,37 @@ func (vp *vashishtaPair) Eval(species []int32, pos []geom.Vec3, f []geom.Vec3) f
 	f[0] = f[0].Add(fv)
 	f[1] = f[1].Sub(fv)
 	return e
+}
+
+// SpeciesLinks implements SpeciesLinker: the chain (i, j, k) with
+// center j is nonzero only where B[s_j][s_i][s_k] ≠ 0, so its links
+// (s_i, s_j) and (s_j, s_k) — in either orientation — are the admitted
+// pairs. For silica that is Si–O alone: O–O and Si–Si links appear in
+// no bond-bending combination.
+func (vt *vashishtaTriplet) SpeciesLinks() [][]bool {
+	ns := len(vt.params)
+	links := make([][]bool, ns)
+	for a := range links {
+		links[a] = make([]bool, ns)
+	}
+	for c, ends := range vt.params {
+		for a, row := range ends {
+			for b, p := range row {
+				if p.B != 0 {
+					links[a][c], links[c][a] = true, true
+					links[b][c], links[c][b] = true, true
+				}
+			}
+		}
+	}
+	for _, row := range links {
+		for _, ok := range row {
+			if !ok {
+				return links
+			}
+		}
+	}
+	return nil
 }
 
 // N returns 3.

@@ -12,7 +12,9 @@
 // is handled by resolving each offset cell to its wrapped image plus a
 // real-space image shift, so all distances are plain Euclidean
 // distances of the selected images — no minimum-image search inside
-// the hot loop.
+// the hot loop. A species link table (SetLinks) further drops chains
+// with a link between species whose tuples the potential defines as
+// zero.
 //
 // Reflective redundancy is handled according to the pattern kind:
 //
@@ -90,6 +92,7 @@ type Stats struct {
 	Cells            int   // cells visited
 	PathApplications int64 // (cell, path) combinations processed
 	Candidates       int64 // partial chains extended (Eq. 12 search cost)
+	LinkCut          int64 // chains cut by the species link table
 	DistancePruned   int64 // chains cut by the consecutive-distance test
 	DuplicateAtom    int64 // chains cut because an atom repeated
 	ReflectionCut    int64 // tuples cut by the dedup policy
@@ -101,6 +104,7 @@ func (s *Stats) Add(other Stats) {
 	s.Cells += other.Cells
 	s.PathApplications += other.PathApplications
 	s.Candidates += other.Candidates
+	s.LinkCut += other.LinkCut
 	s.DistancePruned += other.DistancePruned
 	s.DuplicateAtom += other.DuplicateAtom
 	s.ReflectionCut += other.ReflectionCut
@@ -109,9 +113,9 @@ func (s *Stats) Add(other Stats) {
 
 // String summarizes the counters.
 func (s Stats) String() string {
-	return fmt.Sprintf("cells=%d paths=%d candidates=%d emitted=%d (dist-pruned=%d dup=%d refl=%d)",
+	return fmt.Sprintf("cells=%d paths=%d candidates=%d emitted=%d (link-cut=%d dist-pruned=%d dup=%d refl=%d)",
 		s.Cells, s.PathApplications, s.Candidates, s.Emitted,
-		s.DistancePruned, s.DuplicateAtom, s.ReflectionCut)
+		s.LinkCut, s.DistancePruned, s.DuplicateAtom, s.ReflectionCut)
 }
 
 // Visitor receives one n-tuple per call: the global atom indices and
@@ -140,6 +144,12 @@ type Enumerator struct {
 	n       int
 	bounded bool
 	keys    []int64
+
+	// With masked set, a chain link from atom a to atom b is admitted
+	// only where bit species[b] of linkRows[species[a]] is set.
+	masked   bool
+	species  []int32
+	linkRows [maxLinkSpecies]uint64
 
 	// palindromic[i] reports whether pattern path i is self-reflective.
 	palindromic []bool
@@ -173,12 +183,17 @@ type Enumerator struct {
 	// the span-versus-CSR layout or an image shift. Those are copies
 	// gathered into gatherAtoms/gatherPos, except on bounded span
 	// binnings: there a slot is its atom and needs no shift, so they are
-	// the identity slot map and the positions themselves.
+	// the identity slot map and the positions themselves. Under a link
+	// table they are always gathered, with cellBit holding 1 << species
+	// of each and cellRow its species' row of the table, so a link test
+	// is one AND of the tail's row with the candidate's bit.
 	resLo       []int32
 	resHi       []int32
 	resShift    []geom.Vec3
 	cellAtoms   []int32
 	cellPos     []geom.Vec3
+	cellBit     []uint64
+	cellRow     []uint64
 	gatherAtoms []int32
 	gatherPos   []geom.Vec3
 	slots       []int32
@@ -189,6 +204,7 @@ type Enumerator struct {
 	// Level 0 aliases the block's first prefix cell in cellAtoms/cellPos.
 	chainAtoms [MaxN][]int32
 	chainPos   [MaxN][]geom.Vec3
+	chainRow   [MaxN][]uint64 // under a link table: each chain's tail row
 	chainLen   [MaxN]int
 	prefix     Stats // search counts of the current block's prefix
 
@@ -338,6 +354,34 @@ func sameCell(cells []int32, k int) uint8 {
 // nil to revert to local indices.
 func (e *Enumerator) SetKeys(keys []int64) { e.keys = keys }
 
+// maxLinkSpecies is the most species a link table may cover: each
+// row is one bitmask word.
+const maxLinkSpecies = 64
+
+// SetLinks installs a species link table (potential.SpeciesLinks): a
+// chain is dropped at its first link between atoms whose species pair
+// the table does not admit, before the duplicate and distance tests,
+// so its extensions are never searched. species maps every atom index
+// to its species in [0, len(links)) and may alias a caller array
+// updated between calls. A nil table (the default) makes the search
+// purely geometric, and so does a table over more than 64 species,
+// which only forgoes the pruning.
+func (e *Enumerator) SetLinks(species []int32, links [][]bool) {
+	e.masked = links != nil && len(links) <= maxLinkSpecies
+	if !e.masked {
+		return
+	}
+	e.species = species
+	for a, row := range links {
+		e.linkRows[a] = 0
+		for b, ok := range row {
+			if ok {
+				e.linkRows[a] |= 1 << b
+			}
+		}
+	}
+}
+
 // keyOf returns the dedup ordering key of local atom index a.
 func (e *Enumerator) keyOf(a int32) int64 {
 	if e.keys != nil {
@@ -422,6 +466,7 @@ func (e *Enumerator) VisitCell(q geom.IVec3, positions []geom.Vec3, fn Visitor, 
 				built = true
 			}
 			st.Candidates += e.prefix.Candidates
+			st.LinkCut += e.prefix.LinkCut
 			st.DuplicateAtom += e.prefix.DuplicateAtom
 			st.DistancePruned += e.prefix.DistancePruned
 			if e.chainLen[n-2] > 0 {
@@ -452,6 +497,9 @@ func (e *Enumerator) buildPrefix(b int) {
 	c := cells[0]
 	lo, hi := e.resLo[c], e.resHi[c]
 	e.chainAtoms[0], e.chainPos[0] = e.cellAtoms[lo:hi], e.cellPos[lo:hi]
+	if e.masked {
+		e.chainRow[0] = e.cellRow[lo:hi]
+	}
 	e.chainLen[0] = int(hi - lo)
 	e.prefix.Candidates = int64(hi - lo)
 	for k := 1; k < len(cells); k++ {
@@ -460,18 +508,23 @@ func (e *Enumerator) buildPrefix(b int) {
 }
 
 // extend grows every level-(k−1) chain by each atom of covered cell c,
-// pruning on duplicate atoms (checking only the levels set in dup) and
-// on the consecutive-distance cutoff. Below the last level the
-// survivors become the level-k chains; at the last level they are
+// pruning on the species link table, on duplicate atoms (checking only
+// the levels set in dup) and on the consecutive-distance cutoff. Below
+// the last level the survivors become the level-k chains; at the last
+// level they are
 // complete tuples of path pi, which the reflection policy filters
 // before they are emitted. It is the one chain-growing loop: span and
 // CSR binnings differ only in how resolve lays out their cells.
 func (e *Enumerator) extend(k int, c int32, dup uint8, pi int, fn Visitor, st *Stats) {
-	cand := e.cellAtoms[e.resLo[c]:e.resHi[c]]
-	cpos := e.cellPos[e.resLo[c]:e.resHi[c]]
+	lo, hi := e.resLo[c], e.resHi[c]
+	cand, cpos := e.cellAtoms[lo:hi], e.cellPos[lo:hi]
 	chains := e.chainLen[k-1]
 	parAtoms, parPos := e.chainAtoms[k-1][:chains*k], e.chainPos[k-1][:chains*k]
 	last := k == e.n-1
+	var cbit, crow, parRow, nextRow []uint64
+	if e.masked {
+		cbit, crow, parRow = e.cellBit[lo:hi], e.cellRow[lo:hi], e.chainRow[k-1][:chains]
+	}
 	var nextAtoms []int32
 	var nextPos []geom.Vec3
 	var reflect bool
@@ -482,14 +535,25 @@ func (e *Enumerator) extend(k int, c int32, dup uint8, pi int, fn Visitor, st *S
 		need := chains * len(cand) * (k + 1)
 		nextAtoms = growScratch(&e.chainAtoms[k], need)
 		nextPos = growScratch(&e.chainPos[k], need)
+		if e.masked {
+			nextRow = growScratch(&e.chainRow[k], chains*len(cand))
+		}
 	}
 	m := 0
 	for ch := 0; ch < chains; ch++ {
 		atoms, pos := parAtoms[ch*k:ch*k+k], parPos[ch*k:ch*k+k]
 		tail := pos[k-1]
+		admit := ^uint64(0) // the tail species' row of the link table
+		if cbit != nil {
+			admit = parRow[ch]
+		}
 		st.Candidates += int64(len(cand))
 		staged := false // chain copied into the visitor's tuple
 		for j, ai := range cand {
+			if cbit != nil && admit&cbit[j] == 0 {
+				st.LinkCut++
+				continue
+			}
 			if dup != 0 && repeats(atoms, dup, ai) {
 				st.DuplicateAtom++
 				continue
@@ -505,6 +569,9 @@ func (e *Enumerator) extend(k int, c int32, dup uint8, pi int, fn Visitor, st *S
 					nextAtoms[next+i], nextPos[next+i] = atoms[i], pos[i]
 				}
 				nextAtoms[next+k], nextPos[next+k] = ai, r
+				if nextRow != nil {
+					nextRow[m] = crow[j]
+				}
 				m++
 				continue
 			}
@@ -571,7 +638,7 @@ func (e *Enumerator) resolve(q geom.IVec3, positions []geom.Vec3) bool {
 	if total == 0 {
 		return false
 	}
-	if e.bounded && spans {
+	if e.bounded && spans && !e.masked {
 		// A zero shift changes only a −0.0 coordinate, which neither
 		// wrapped nor rank-local positions hold: reading the stored
 		// positions in place is bit-identical to shifting them.
@@ -605,6 +672,14 @@ func (e *Enumerator) resolve(q geom.IVec3, positions []geom.Vec3) bool {
 		}
 		e.resLo[c], e.resHi[c] = g, g+hi-lo
 		g += hi - lo
+	}
+	if e.masked {
+		bits := growScratch(&e.cellBit, int(total))
+		rows := growScratch(&e.cellRow, int(total))
+		for g, ai := range atoms {
+			s := uint32(e.species[ai]) % maxLinkSpecies
+			bits[g], rows[g] = 1<<s, e.linkRows[s]
+		}
 	}
 	return true
 }

@@ -18,7 +18,8 @@ func discard([]int32, []geom.Vec3) {}
 // and a keyed CSR binning (the two layouts parallel ranks use). Each
 // binning is then rebinned in place onto a denser configuration whose
 // chains set a new high-water mark: one warm-up pass may grow the
-// scratch, after which enumeration is again allocation-free.
+// scratch, after which enumeration is again allocation-free. Every case
+// runs with and without a species link table.
 func TestVisitCellsPrefixZeroAllocs(t *testing.T) {
 	dims := geom.IV(6, 6, 6)
 	lat, err := cell.NewLatticeDims(geom.NewCubicBox(6), dims)
@@ -46,10 +47,15 @@ func TestVisitCellsPrefixZeroAllocs(t *testing.T) {
 			return nil
 		}},
 	}
+	species, links := linkCase(len(dense))
 	for _, pattern := range []*core.Pattern{core.SC(3), core.FS(3), core.SC(4)} {
 		for _, bounded := range []bool{false, true} {
-			for _, layout := range layouts {
-				name := fmt.Sprintf("n=%d paths=%d bounded=%v %s", pattern.N(), pattern.Len(), bounded, layout.name)
+			for _, c := range []struct {
+				layout int
+				links  bool
+			}{{0, false}, {1, false}, {0, true}, {1, true}} {
+				layout := layouts[c.layout]
+				name := fmt.Sprintf("n=%d paths=%d bounded=%v %s links=%v", pattern.N(), pattern.Len(), bounded, layout.name, c.links)
 				bin := &cell.Binning{Lat: lat}
 				if err := layout.rebin(bin, sparseCells); err != nil {
 					t.Fatal(err)
@@ -63,6 +69,9 @@ func TestVisitCellsPrefixZeroAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				e.SetKeys(keys)
+				if c.links {
+					e.SetLinks(species, links)
+				}
 				var st Stats
 				pos := sparse
 				pass := func() { e.VisitCellsInto(anchors, pos, discard, &st) }
@@ -84,6 +93,9 @@ func TestVisitCellsPrefixZeroAllocs(t *testing.T) {
 				}
 				if st.Emitted == 0 {
 					t.Errorf("%s: nothing emitted; the case exercises no chains", name)
+				}
+				if c.links && st.LinkCut == 0 {
+					t.Errorf("%s: the link table cut nothing", name)
 				}
 			}
 		}

@@ -14,9 +14,10 @@ import (
 // naiveVisitCell is the per-path reference for VisitCell: every path
 // resolves each of its own offset cells — wrap, image shift, storage
 // range — and walks its own nested loops, with nothing shared between
-// paths. VisitCell must reproduce its emission sequence and counters
-// exactly.
-func naiveVisitCell(e *Enumerator, q geom.IVec3, positions []geom.Vec3, fn Visitor, st *Stats) {
+// paths, testing each candidate against the species link table links
+// (nil for none), then for a repeated atom, then for distance.
+// VisitCell must reproduce its emission sequence and counters exactly.
+func naiveVisitCell(e *Enumerator, q geom.IVec3, positions []geom.Vec3, species []int32, links [][]bool, fn Visitor, st *Stats) {
 	st.Cells++
 	lat := e.bin.Lat
 	n := e.n
@@ -65,6 +66,10 @@ func naiveVisitCell(e *Enumerator, q geom.IVec3, positions []geom.Vec3, fn Visit
 		walk = func(k int) {
 			for _, ai := range cells[k] {
 				st.Candidates++
+				if k > 0 && links != nil && !links[species[atoms[k-1]]][species[ai]] {
+					st.LinkCut++
+					continue
+				}
 				if slices.Contains(atoms[:k], ai) {
 					st.DuplicateAtom++
 					continue
@@ -133,7 +138,9 @@ func sortByCell(lat cell.Lattice, pos []geom.Vec3) ([]geom.Vec3, []int32) {
 // have ~10⁶ paths), on periodic and bounded lattices, over CSR and span
 // binnings of the same storage, with and without dedup keys, VisitCell
 // emits the same tuples with the same image-resolved positions in the
-// same order as the per-path reference, and every Stats field agrees.
+// same order as the per-path reference, and every Stats field agrees —
+// also under a species link table, where the emission is moreover the
+// unmasked one filtered to admitted tuples.
 // Two block-edge cases follow: shuffled patterns, whose prefixes recur
 // non-contiguously, and a block whose first path's last cell is empty
 // while a later path of the same prefix still needs the chains.
@@ -255,10 +262,38 @@ func referenceSystem(t *testing.T, rng *rand.Rand, pattern *core.Pattern, perCel
 	return lat, anchors, pos, []*cell.Binning{csr, spans}, keys
 }
 
+// linkCase returns the species and link table of the masked cases:
+// three species round-robin over storage, with 0–1, 1–2 and 2–2 links
+// admitted and 0–0 and 0–2 masked.
+func linkCase(natoms int) ([]int32, [][]bool) {
+	species := make([]int32, natoms)
+	for i := range species {
+		species[i] = int32(i % 3)
+	}
+	return species, [][]bool{
+		{false, true, false},
+		{true, false, true},
+		{false, true, true},
+	}
+}
+
+// admitted reports whether every consecutive link of a tuple is in the
+// link table.
+func admitted(atoms []int32, species []int32, links [][]bool) bool {
+	for k := 1; k < len(atoms); k++ {
+		if !links[species[atoms[k-1]]][species[atoms[k]]] {
+			return false
+		}
+	}
+	return true
+}
+
 // checkMatchesReference compares VisitCell with the per-path reference
 // over the anchors — emissions in order, image-resolved positions and
 // every Stats field — on periodic and bounded enumerators over each
-// binning, with and without dedup keys.
+// binning, with and without dedup keys, and with and without a species
+// link table. With the table the emission must also be the geometric
+// emission filtered to admitted tuples, in the same order.
 func checkMatchesReference(t *testing.T, name string, pattern *core.Pattern, cutoff float64, dedup Dedup,
 	bins []*cell.Binning, anchors []geom.IVec3, pos []geom.Vec3, keys []int64) {
 	t.Helper()
@@ -272,17 +307,24 @@ func checkMatchesReference(t *testing.T, name string, pattern *core.Pattern, cut
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			for _, withKeys := range []bool{false, true} {
-				label := fmt.Sprintf("%s bounded=%v spans=%v keys=%v", name, bounded, bin.Spans(), withKeys)
+			species, links := linkCase(len(pos))
+			for _, tc := range []struct{ keys, links bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+				label := fmt.Sprintf("%s bounded=%v spans=%v keys=%v links=%v", name, bounded, bin.Spans(), tc.keys, tc.links)
 				e.SetKeys(nil)
-				if withKeys {
+				if tc.keys {
 					e.SetKeys(keys)
+				}
+				var refLinks [][]bool
+				e.SetLinks(nil, nil)
+				if tc.links {
+					e.SetLinks(species, links)
+					refLinks = links
 				}
 				var got, want []emission
 				var gotSt, wantSt Stats
 				for _, q := range anchors {
 					e.VisitCell(q, pos, recorder(&got), &gotSt)
-					naiveVisitCell(e, q, pos, recorder(&want), &wantSt)
+					naiveVisitCell(e, q, pos, species, refLinks, recorder(&want), &wantSt)
 				}
 				if gotSt != wantSt {
 					t.Errorf("%s: stats %+v, reference %+v", label, gotSt, wantSt)
@@ -298,8 +340,32 @@ func checkMatchesReference(t *testing.T, name string, pattern *core.Pattern, cut
 						break
 					}
 				}
-				if wantSt.Emitted == 0 {
-					t.Errorf("%s: reference emitted nothing; the case tests no chains", label)
+				if !tc.links {
+					if wantSt.Emitted == 0 {
+						t.Errorf("%s: reference emitted nothing; the case tests no chains", label)
+					}
+					continue
+				}
+				if gotSt.LinkCut == 0 || gotSt.Emitted == 0 {
+					t.Errorf("%s: the link table cut %d chains and left %d tuples; the case tests no masking",
+						label, gotSt.LinkCut, gotSt.Emitted)
+				}
+				var geometric []emission
+				var geoSt Stats
+				e.SetLinks(nil, nil)
+				for _, q := range anchors {
+					e.VisitCell(q, pos, recorder(&geometric), &geoSt)
+				}
+				filtered := slices.DeleteFunc(geometric, func(em emission) bool { return !admitted(em.atoms, species, links) })
+				if len(filtered) != len(got) {
+					t.Errorf("%s: %d masked emissions, %d admitted geometric ones", label, len(got), len(filtered))
+					continue
+				}
+				for i := range got {
+					if !slices.Equal(got[i].atoms, filtered[i].atoms) || !slices.Equal(got[i].pos, filtered[i].pos) {
+						t.Errorf("%s: masked emission %d = %v, admitted geometric %v", label, i, got[i].atoms, filtered[i].atoms)
+						break
+					}
 				}
 			}
 		}
