@@ -260,26 +260,42 @@ func TestFineLatticeGeometry(t *testing.T) {
 	}
 }
 
-// TestFineLatticeHaloUnchanged asserts the halo exactly: searching
-// triplets on sub-cell lattices moves no exchange traffic. The counts
-// are those of the pair-lattice search on the golden workload (six
-// steps plus the initial evaluation), bytes and messages of the halo
-// and write-back classes and the imported atoms summed over ranks.
+// TestFineLatticeHaloUnchanged asserts the exchange traffic exactly:
+// searching triplets on sub-cell lattices moves no exchange traffic.
+// The counts are those of the pair-lattice search on the golden
+// workload (six steps plus the initial evaluation): bytes and messages
+// of the halo, write-back, migration and collective classes and the
+// imported atoms summed over ranks. Hybrid-MD imports FS-MD's full
+// shell, so its rows carry the same counts. The shifted golden crystal
+// migrates no atom in six steps, so its migration class is one empty
+// message per rank, split axis and direction per step; the last rows
+// run the same thermalized crystal unshifted, where 55 atoms cross
+// rank planes and migration carries 60-byte records.
 func TestFineLatticeHaloUnchanged(t *testing.T) {
-	cfg, model := silicaConfig(t, 4, 300, 1)
-	for i := range cfg.Pos {
-		cfg.Pos[i] = cfg.Box.Wrap(cfg.Pos[i].Add(geom.V(0.8, 0.8, 0.8)))
+	thermal, model := silicaConfig(t, 4, 300, 1)
+	golden, _ := silicaConfig(t, 4, 300, 1)
+	for i := range golden.Pos {
+		golden.Pos[i] = golden.Box.Wrap(golden.Pos[i].Add(geom.V(0.8, 0.8, 0.8)))
 	}
-	type traffic struct{ haloBytes, haloMsgs, forceBytes, forceMsgs, imported int64 }
+	type traffic struct {
+		haloBytes, haloMsgs, forceBytes, forceMsgs, imported int64
+		migrateBytes, migrateMsgs, collBytes, collMsgs       int64
+	}
 	cases := []struct {
 		scheme Scheme
 		dims   geom.IVec3
+		cfg    *workload.Config
 		want   traffic
 	}{
-		{SchemeSC, geom.IV(2, 1, 1), traffic{488544, 42, 244272, 42, 10178}},
-		{SchemeSC, geom.IV(2, 2, 2), traffic{835968, 168, 417984, 168, 17416}},
-		{SchemeFS, geom.IV(2, 1, 1), traffic{3800832, 84, 1900416, 84, 79184}},
-		{SchemeFS, geom.IV(2, 2, 2), traffic{8606304, 336, 4303152, 336, 179298}},
+		{SchemeSC, geom.IV(2, 1, 1), golden, traffic{488544, 42, 244272, 42, 10178, 0, 24, 16, 2}},
+		{SchemeSC, geom.IV(2, 2, 2), golden, traffic{835968, 168, 417984, 168, 17416, 0, 288, 112, 14}},
+		{SchemeFS, geom.IV(2, 1, 1), golden, traffic{3800832, 84, 1900416, 84, 79184, 0, 24, 16, 2}},
+		{SchemeFS, geom.IV(2, 2, 2), golden, traffic{8606304, 336, 4303152, 336, 179298, 0, 288, 112, 14}},
+		{SchemeHybrid, geom.IV(2, 1, 1), golden, traffic{3800832, 84, 1900416, 84, 79184, 0, 24, 16, 2}},
+		{SchemeHybrid, geom.IV(2, 2, 2), golden, traffic{8606304, 336, 4303152, 336, 179298, 0, 288, 112, 14}},
+		{SchemeSC, geom.IV(2, 2, 2), thermal, traffic{858960, 168, 429480, 168, 17895, 3300, 288, 112, 14}},
+		{SchemeFS, geom.IV(2, 2, 2), thermal, traffic{8283744, 336, 4141872, 336, 172578, 3300, 288, 112, 14}},
+		{SchemeHybrid, geom.IV(2, 2, 2), thermal, traffic{8283744, 336, 4141872, 336, 172578, 3300, 288, 112, 14}},
 	}
 	for _, c := range cases {
 		for _, noOverlap := range []bool{false, true} {
@@ -287,23 +303,29 @@ func TestFineLatticeHaloUnchanged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(cfg, model, Options{
+			res, err := Run(c.cfg, model, Options{
 				Scheme: c.scheme, Cart: cart, Dt: 0.5, Steps: 6, Workers: 2, NoOverlap: noOverlap,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			cls := res.CommByClass
 			got := traffic{
-				haloBytes:  res.CommByClass["halo"].Bytes,
-				haloMsgs:   res.CommByClass["halo"].Messages,
-				forceBytes: res.CommByClass["force"].Bytes,
-				forceMsgs:  res.CommByClass["force"].Messages,
+				haloBytes:    cls["halo"].Bytes,
+				haloMsgs:     cls["halo"].Messages,
+				forceBytes:   cls["force"].Bytes,
+				forceMsgs:    cls["force"].Messages,
+				migrateBytes: cls["migrate"].Bytes,
+				migrateMsgs:  cls["migrate"].Messages,
+				collBytes:    cls["collective"].Bytes,
+				collMsgs:     cls["collective"].Messages,
 			}
 			for _, s := range res.RankStats {
 				got.imported += s.AtomsImported
 			}
 			if got != c.want {
-				t.Errorf("%v %v sync=%v: traffic %+v, want %+v", c.scheme, c.dims, noOverlap, got, c.want)
+				t.Errorf("%v %v thermal=%v sync=%v: traffic %+v, want %+v",
+					c.scheme, c.dims, c.cfg == thermal, noOverlap, got, c.want)
 			}
 		}
 	}

@@ -10,11 +10,15 @@ import (
 )
 
 // TestHealthProbesAllOK is the headline health-monitor acceptance
-// test: a short 2-rank NVE run with every probe enabled — energy
-// drift, momentum, atom count, halo mirror checksums, and the
-// SC-vs-FS tuple parity re-enumeration — must report ok for every
-// observation. 5³ unit cells are required so the global lattice fits
-// the FS(3) pattern's 5-cell span for the parity probe.
+// test: a short 2-rank NVE run of every scheme with every probe
+// enabled — energy drift, momentum, atom count, halo mirror checksums,
+// and the SC-vs-FS tuple parity re-enumeration — must report ok for
+// every observation, and the probes' own exchange on the health tag
+// class must move exactly the recorded bytes and messages (one 8-byte
+// mirror checksum per halo message at each sampled step, so FS-MD and
+// Hybrid-MD's full shell sends twice SC-MD's). 5³ unit cells are
+// required so the global lattice fits the FS(3) pattern's 5-cell span
+// for the parity probe.
 func TestHealthProbesAllOK(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parity probe re-enumerates the global tuple set")
@@ -24,38 +28,52 @@ func TestHealthProbesAllOK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mon := health.New(health.Config{Every: 2, ParityEvery: 4})
-	res, err := Run(cfg, model, Options{
-		Scheme: SchemeSC,
-		Cart:   cart,
-		Dt:     0.5,
-		Steps:  8,
-		Health: mon,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		scheme                  Scheme
+		healthBytes, healthMsgs int64
+	}{
+		{SchemeSC, 192, 24},
+		{SchemeFS, 384, 48},
+		{SchemeHybrid, 384, 48},
 	}
+	for _, c := range cases {
+		mon := health.New(health.Config{Every: 2, ParityEvery: 4})
+		res, err := Run(cfg, model, Options{
+			Scheme: c.scheme,
+			Cart:   cart,
+			Dt:     0.5,
+			Steps:  8,
+			Health: mon,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", c.scheme, err)
+		}
 
-	if !res.Health.Healthy() {
-		t.Errorf("run unhealthy: %+v", res.Health)
-	}
-	wantProbes := map[string]int{
-		health.ProbeEnergyDrift: 4, // steps 1,3,5,7 (cadence 2, after step 0 baseline at first sampled step)
-		health.ProbeMomentum:    4,
-		health.ProbeAtomCount:   4,
-		health.ProbeHaloMirror:  0, // > 0, exact count depends on plan phases × ranks
-		health.ProbeTupleParity: 2, // steps 3,7
-	}
-	for probe, wantOK := range wantProbes {
-		p := res.Health.Probe(probe)
-		if p.Warn != 0 || p.Fail != 0 {
-			t.Errorf("%s: warn=%d fail=%d, want clean", probe, p.Warn, p.Fail)
+		if !res.Health.Healthy() {
+			t.Errorf("%v: run unhealthy: %+v", c.scheme, res.Health)
 		}
-		if wantOK > 0 && p.OK != int64(wantOK) {
-			t.Errorf("%s: ok=%d, want %d", probe, p.OK, wantOK)
+		wantProbes := map[string]int{
+			health.ProbeEnergyDrift: 4, // steps 1,3,5,7 (cadence 2, after step 0 baseline at first sampled step)
+			health.ProbeMomentum:    4,
+			health.ProbeAtomCount:   4,
+			health.ProbeHaloMirror:  0, // > 0, exact count depends on plan phases × ranks
+			health.ProbeTupleParity: 2, // steps 3,7
 		}
-		if p.OK == 0 {
-			t.Errorf("%s: never observed", probe)
+		for probe, wantOK := range wantProbes {
+			p := res.Health.Probe(probe)
+			if p.Warn != 0 || p.Fail != 0 {
+				t.Errorf("%v %s: warn=%d fail=%d, want clean", c.scheme, probe, p.Warn, p.Fail)
+			}
+			if wantOK > 0 && p.OK != int64(wantOK) {
+				t.Errorf("%v %s: ok=%d, want %d", c.scheme, probe, p.OK, wantOK)
+			}
+			if p.OK == 0 {
+				t.Errorf("%v %s: never observed", c.scheme, probe)
+			}
+		}
+		if h := res.CommByClass["health"]; h.Bytes != c.healthBytes || h.Messages != c.healthMsgs {
+			t.Errorf("%v: health class %d bytes / %d messages, want %d / %d",
+				c.scheme, h.Bytes, h.Messages, c.healthBytes, c.healthMsgs)
 		}
 	}
 }

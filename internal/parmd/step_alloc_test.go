@@ -10,6 +10,7 @@ import (
 	"sctuple/internal/md"
 	"sctuple/internal/obs"
 	"sctuple/internal/obs/flight"
+	"sctuple/internal/obs/health"
 	"sctuple/internal/obs/serve"
 )
 
@@ -108,6 +109,41 @@ func TestStepLoopZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
+		}
+	}
+}
+
+// TestStepAllocCeilingWithProbes bounds the whole world's steady-state
+// step-loop allocation rate (Result.StepAllocs, barrier-fenced by
+// MeasureAllocs) at 100 per step with the phase recorder on and every
+// health probe sampled on every step, for each scheme on 2 ranks. The
+// thermalized crystal migrates atoms, and the owned arrays and pooled
+// buffers still grow while they do, so the rate is small but not zero
+// (about 5 per step over these 10 steps); the ceiling catches a
+// per-atom or per-message allocation creeping into any part of the
+// step, probes included.
+func TestStepAllocCeilingWithProbes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const maxAllocs = 100
+	cfg, model := silicaConfig(t, 4, 300, 1)
+	cart, _ := comm.NewCartDims(geom.IV(2, 1, 1))
+	for _, scheme := range Schemes() {
+		res, err := Run(cfg, model, Options{
+			Scheme: scheme, Cart: cart, Dt: 0.5, Steps: 10,
+			Recorder:      obs.NewRecorder(cart.Size(), 16),
+			Health:        health.New(health.Config{Every: 1}),
+			MeasureAllocs: true,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		if !res.Health.Healthy() {
+			t.Errorf("%v: run unhealthy: %+v", scheme, res.Health)
+		}
+		if res.StepAllocs < 0 || res.StepAllocs > maxAllocs {
+			t.Errorf("%v: %.1f allocs per step with recorder and probes on, want ≤ %d", scheme, res.StepAllocs, maxAllocs)
 		}
 	}
 }
