@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check build test test-short race bench bench-harness bench-record bench-compare figures examples vet fmt fmt-check
+.PHONY: all check build test test-short race bench bench-harness figures examples vet fmt fmt-check
 
 all: check
 
@@ -38,16 +38,6 @@ bench:
 bench-harness:
 	go test -run '^$$' -bench 'Enumerate|Ablation' -benchtime 1x .
 	go test -run '^$$' -bench HybridRows -benchtime 1x ./internal/parmd
-
-# Record a benchmark baseline (BENCH_<gitsha>.json) and diff two
-# recordings; see EXPERIMENTS.md "Recording and comparing benchmarks".
-bench-record:
-	go run ./cmd/scbench record
-
-BASE ?= BENCH_baseline.json
-NEW ?=
-bench-compare:
-	go run ./cmd/scbench compare $(BASE) $(NEW)
 
 # Regenerate every table and figure of the paper (DESIGN.md maps them).
 figures:

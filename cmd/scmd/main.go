@@ -62,7 +62,6 @@ func main() {
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event span timeline (one track per rank) to this file; parallel runs only")
 		metricsOut = flag.String("metrics", "", "write per-step JSONL telemetry records and a final metrics snapshot to this file; parallel runs only")
 		serveAddr  = flag.String("serve", "", "serve live telemetry on this address (e.g. :9190): /metrics /healthz /steps /phases /trace + /debug/pprof")
-		pprofAddr  = flag.String("pprof", "", "deprecated alias for -serve (kept for old scripts; pprof rides on the -serve mux)")
 		voidFrac   = flag.Float64("void", 0, "carve a spherical void of this diameter fraction out of a uniform fluid workload (0 = off); uses -atoms (default 6000)")
 		balance    = flag.Bool("balance", false, "adaptive repartitioning: move slab boundaries toward equal measured force load; parallel runs only")
 		balanceEv  = flag.Int("balance-every", 0, "balance-check cadence in steps (0 = default 20)")
@@ -84,11 +83,6 @@ func main() {
 		sockToken  = flag.String("socket-token", "", "internal: session token of the socket launcher")
 	)
 	flag.Parse()
-
-	if *serveAddr == "" && *pprofAddr != "" {
-		fmt.Fprintln(os.Stderr, "scmd: -pprof is deprecated; use -serve (pprof is mounted on the telemetry mux)")
-		*serveAddr = *pprofAddr
-	}
 
 	var logger *obs.Logger
 	switch *logFormat {

@@ -79,37 +79,10 @@ type CellEngine struct {
 }
 
 // NewCellEngine builds the engine for a model over a box, with one
-// lattice, binning, and enumerator per term.
+// lattice, binning, and enumerator per term: NewCellEngineRadius at
+// k = 1, whose radius-1 patterns are the family's SC(n) and FS(n).
 func NewCellEngine(model *potential.Model, box geom.Box, family Family) (*CellEngine, error) {
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	e := &CellEngine{family: family, model: model, acc: kernel.NewDirect()}
-	canon, err := cell.NewLattice(box, model.MaxCutoff())
-	if err != nil {
-		return nil, fmt.Errorf("md: %w", err)
-	}
-	e.canonLat = canon
-	for _, term := range model.Terms {
-		lat, err := cell.NewLattice(box, term.Cutoff())
-		if err != nil {
-			return nil, fmt.Errorf("md: term n=%d: %w", term.N(), err)
-		}
-		pattern, err := family.Pattern(term.N())
-		if err != nil {
-			return nil, err
-		}
-		bin := cell.NewBinning(lat, nil)
-		en, err := tuple.NewEnumerator(bin, pattern, term.Cutoff(), tuple.DedupAuto)
-		if err != nil {
-			return nil, fmt.Errorf("md: term n=%d: %w", term.N(), err)
-		}
-		e.lats = append(e.lats, lat)
-		e.bins = append(e.bins, bin)
-		e.enums = append(e.enums, en)
-		e.useSpans = append(e.useSpans, term.Cutoff() == model.MaxCutoff())
-	}
-	return e, nil
+	return NewCellEngineRadius(model, box, family, 1)
 }
 
 // NewCellEngineRadius builds a cell engine in the midpoint mode of the
