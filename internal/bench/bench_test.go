@@ -5,8 +5,13 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"sctuple/internal/comm"
+	"sctuple/internal/parmd"
 	"sctuple/internal/perfmodel"
+	"sctuple/internal/potential"
+	"sctuple/internal/workload"
 )
 
 func TestPatternsReportContent(t *testing.T) {
@@ -106,27 +111,49 @@ func TestValidateAgreesWithModel(t *testing.T) {
 	}
 }
 
-// TestValidateOverlapHidesWait: on the 2×2×2 silica world, the
-// overlapped (default) exchange must spend strictly less time blocked
-// in receives than the synchronous baseline Validate runs alongside it
-// — the point of posting the halo before the interior stage. Wall-time
-// comparisons are inherently noisy on a shared machine, so a sweep
-// where any scheme loses is retried a few times; only a consistent
-// loss fails.
+// TestValidateOverlapHidesWait: the overlapped (default) exchange
+// must hide the halo-import latency the synchronous baseline Validate
+// runs alongside it pays — the point of posting the halo before the
+// interior stage. In-process channels deliver in nanoseconds, so both
+// runs go over a comm.LatencyTransport: every cross-rank message
+// arrives a fixed latency after its send. Without overlap, each
+// evaluation's halo receives wait about that latency per task; with
+// it, the interior stage covers it. The world is 2 ranks (one per CPU
+// of a small host) on 24,000 atoms, big enough that every scheme has
+// interior cells. A sweep where a scheme hides less than half the
+// latency is retried a few times; only a consistent miss fails.
 func TestValidateOverlapHidesWait(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison over real runs")
 	}
+	const (
+		nAtoms  = 24000 // 10³ β-cristobalite unit cells
+		latency = 2 * time.Millisecond
+		ms      = float64(latency) / float64(time.Millisecond)
+	)
+	// Precondition: FS- and Hybrid-MD import n_max − 1 cells on each
+	// side of a block and SC-MD at most that on one side; an axis has
+	// interior cells when its block is thicker than both margins.
+	model := potential.NewSilicaModel()
+	cfg := workload.BetaCristobalite(cube(nAtoms / 24))
+	dec, err := parmd.NewDecomp(cfg.Box, model.MaxCutoff(), comm.NewCart(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, need := dec.MinBlockDim(), 2*(model.MaxN()-1)+1; got < need {
+		t.Fatalf("thinnest block is %d cells, need %d for every scheme to have interior cells", got, need)
+	}
+
 	const attempts = 4
 	var last []ValidateRow
 	for a := 0; a < attempts; a++ {
-		rows, err := Validate(3000, []int{8}, 2, 1)
+		rows, err := validateInto(nil, nAtoms, []int{2}, 2, 1, latency)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ok := true
 		for _, r := range rows {
-			if !(r.WaitMs < r.SyncWaitMs) || !(r.OverlapFrac > 0 && r.OverlapFrac <= 1) {
+			if !(r.SyncWaitMs-r.WaitMs >= ms/2) || !(r.OverlapFrac > 0 && r.OverlapFrac <= 1) {
 				ok = false
 			}
 		}
@@ -136,7 +163,7 @@ func TestValidateOverlapHidesWait(t *testing.T) {
 		last = rows
 	}
 	for _, r := range last {
-		t.Errorf("%v on %d tasks: overlapped wait %.3f ms vs sync %.3f ms (overlap %.2f) after %d attempts",
-			r.Scheme, r.Tasks, r.WaitMs, r.SyncWaitMs, r.OverlapFrac, attempts)
+		t.Errorf("%v on %d tasks with %v latency: overlapped wait %.3f ms vs sync %.3f ms, want at least %.3f ms shorter (overlap %.2f) after %d attempts",
+			r.Scheme, r.Tasks, latency, r.WaitMs, r.SyncWaitMs, ms/2, r.OverlapFrac, attempts)
 	}
 }

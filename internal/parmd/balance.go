@@ -43,6 +43,15 @@ type Balancer struct {
 	// transient traffic) a single repartition triggers; convergence to
 	// a distant optimum takes several checks instead.
 	MaxShift int
+
+	// countWork weighs each rank's load by the tuple-search candidates
+	// it examined since the previous check instead of its
+	// force-evaluation wall time. The counts are a pure function of the
+	// physics state, so every decision — and the whole repartition
+	// sequence — is reproducible on a loaded machine, which is what
+	// lets tests pin the balancer's convergence exactly; wall time also
+	// sees the kernel and memory costs the counts miss.
+	countWork bool
 }
 
 func (b *Balancer) every() int {
@@ -79,9 +88,10 @@ func (b *Balancer) maxShift() int {
 type balanceState struct {
 	cfg *Balancer
 
-	// prevForceNs marks the cumulative force-work counter at the last
-	// check; the interval delta is what the decision weighs.
-	prevForceNs int64
+	// prevLoad marks the cumulative load counter (force-work time, or
+	// search candidates under countWork) at the last check; the
+	// interval delta is what the decision weighs.
+	prevLoad int64
 
 	// newStarts receives the broadcast boundary decision on every rank.
 	newStarts [3][]int
@@ -129,8 +139,12 @@ func (r *rankState) initBalance(cfg *Balancer) {
 func (r *rankState) balanceCheck() (bool, error) {
 	b := r.bal
 	b.checks++
-	interval := r.stats.ForceNs - b.prevForceNs
-	b.prevForceNs = r.stats.ForceNs
+	load := r.stats.ForceNs
+	if b.cfg.countWork {
+		load = r.stats.SearchCandidates
+	}
+	interval := load - b.prevLoad
+	b.prevLoad = load
 
 	repartition := false
 	if r.p.Rank() == 0 {

@@ -40,8 +40,10 @@ func (r *rankState) computeForces() (float64, error) {
 		if err != nil {
 			return 0, r.rankErr("bin", err)
 		}
-		r.beginHalo()
-		r.acc.Begin(r.force)
+		r.acc.Begin(r.force) // owned atoms; Grow widens it once the imports land
+		if err := r.beginHalo(); err != nil {
+			return 0, err
+		}
 		r.evalInterior()
 		if err := r.finishHalo(); err != nil {
 			return 0, err

@@ -157,7 +157,9 @@ func exchangeRig(p *comm.Proc, dec *Decomp, cfg *workload.Config, model *potenti
 		r.dropHalo()
 		r.deriveOwned()
 		if overlap {
-			r.beginHalo()
+			if err := r.beginHalo(); err != nil {
+				return err
+			}
 			if err := r.finishHalo(); err != nil {
 				return err
 			}

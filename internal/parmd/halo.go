@@ -12,17 +12,20 @@ import (
 // one transfer for SC-MD (receive the upper-corner slab from the +axis
 // neighbor — 7 effective source ranks reached in 3 communication steps
 // via forwarded routing, §4.2) and two for FS-/Hybrid-MD (both
-// directions — 26 effective sources in 6 steps). Because each phase's
-// slab selection includes halo atoms received in earlier phases, edge
-// and corner data are forwarded automatically — which also means only
-// the first phase's send can be posted up front; each later send waits
-// for the receive one phase earlier.
+// directions — 26 effective sources in 6 transfers over 3 axes).
+// Because each phase's slab selection includes halo atoms received on
+// earlier axes, edge and corner data are forwarded automatically —
+// which also means an axis's sends can only be posted once every
+// earlier axis has been received. The two directions of one axis are
+// independent (both slabs lie inside the owned range, their imports
+// land in the margins), so they travel together.
 //
 // The exchange is therefore split into beginHalo (post every receive
-// handle plus the first send) and finishHalo (complete the receives in
-// phase order, appending arrivals and posting the next forwarded
-// send). The overlapped force path evaluates interior cells between
-// the two; the synchronous importHalo runs them back to back.
+// handle plus the first axis's sends) and finishHalo (complete the
+// receives axis by axis, appending arrivals and posting the next
+// axis's forwarded sends). The overlapped force path evaluates
+// interior cells between the two; the synchronous importHalo runs them
+// back to back.
 //
 // Every geometric decision — slab bounds, peers, tags, frame shifts —
 // was compiled once into r.plan; the per-step loop only selects atoms,
@@ -39,7 +42,8 @@ type haloPhaseState struct {
 	sendIdx   []int32 // local indices sent, reset each step
 	recvStart int     // first local index received
 	recvCount int
-	recv      comm.RecvHandle // posted by beginHalo, completed by finishHalo
+	recv      comm.RecvHandle // posted by beginHalo, completed by completeHaloAxis
+	recvBuf   *comm.Buffer    // the arrival, held until its axis is complete
 	sentSum   uint64          // checksum of the exported slab (health steps only)
 }
 
@@ -48,27 +52,85 @@ type haloPhaseState struct {
 // overlapped path, so the two differ only in when the receives are
 // completed — never in what is evaluated or in which order.
 func (r *rankState) importHalo() error {
-	r.beginHalo()
+	if err := r.beginHalo(); err != nil {
+		return err
+	}
 	return r.finishHalo()
 }
 
 // beginHalo posts the asynchronous side of the staged exchange: one
-// receive handle per compiled phase, then the first phase's send. The
+// receive handle per compiled phase, then the first axis's sends. The
 // checksum the health mirror probe audits is taken at pack time —
 // the handoff point — because the buffer belongs to the receiver the
 // moment the send is posted.
-func (r *rankState) beginHalo() {
+//
+// An axis the process grid leaves unsplit exchanges with this rank
+// itself, and its messages are delivered by the time they are posted,
+// so leading such axes are completed here. Otherwise the first
+// cross-rank sends, forwarded behind them, would only be posted by
+// finishHalo — after the interior stage they are meant to overlap.
+func (r *rankState) beginHalo() error {
 	sp := r.rec.StartSpan(phaseHalo)
-	defer sp.End()
 	for pi := range r.plan.Halo {
 		ph := &r.plan.Halo[pi]
 		r.phaseState[pi].recv = r.p.IRecvBuffer(ph.RecvPeer, ph.Tag)
 	}
-	r.postHaloSend(0)
+	r.haloDone = 0
+	r.postHaloAxis(0)
+	sp.End()
+	for r.haloDone < len(r.plan.Halo) && r.selfAxis(r.haloDone) {
+		if err := r.completeHaloAxis(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// finishHalo completes the axes beginHalo left outstanding, in phase
+// order. Malformed messages come back as typed errors; the caller
+// propagates them so the world aborts with rank/step/phase context
+// instead of crashing.
+func (r *rankState) finishHalo() error {
+	for r.haloDone < len(r.plan.Halo) {
+		if err := r.completeHaloAxis(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// haloAxisEnd returns the end of the run of compiled phases that share
+// phase pi's axis.
+func (r *rankState) haloAxisEnd(pi int) int {
+	end := pi
+	for end < len(r.plan.Halo) && r.plan.Halo[end].Axis == r.plan.Halo[pi].Axis {
+		end++
+	}
+	return end
+}
+
+// selfAxis reports whether every phase of the axis starting at phase
+// pi both sends to and receives from this rank.
+func (r *rankState) selfAxis(pi int) bool {
+	self := r.p.Rank()
+	for end := r.haloAxisEnd(pi); pi < end; pi++ {
+		if ph := &r.plan.Halo[pi]; ph.SendPeer != self || ph.RecvPeer != self {
+			return false
+		}
+	}
+	return true
+}
+
+// postHaloAxis posts the sends of every phase on the axis starting at
+// phase pi.
+func (r *rankState) postHaloAxis(pi int) {
+	for end := r.haloAxisEnd(pi); pi < end; pi++ {
+		r.postHaloSend(pi)
+	}
 }
 
 // postHaloSend packs phase pi's slab — owned atoms plus any halo atoms
-// already appended by earlier phases (the forwarding) — and posts its
+// already appended by earlier axes (the forwarding) — and posts its
 // send. The flow event is emitted at post time; its receive side pairs
 // up at the peer's completion point.
 func (r *rankState) postHaloSend(pi int) {
@@ -99,37 +161,54 @@ func (r *rankState) postHaloSend(pi int) {
 	r.p.ISendBuffer(ph.SendPeer, ph.Tag, buf)
 }
 
-// finishHalo completes the posted receives in phase order: wait for
-// the phase's margin fill (the halo:wait span — with interior work
-// overlapped, this is the latency the computation failed to hide),
-// append it, and post the next phase's forwarded send. Malformed
-// messages come back as typed errors; the caller propagates them so
-// the world aborts with rank/step/phase context instead of crashing.
-func (r *rankState) finishHalo() error {
-	for pi := range r.plan.Halo {
+// completeHaloAxis completes the next outstanding axis: wait for each
+// of its phases' margin fills (the halo:wait spans — with interior
+// work overlapped, this is the latency the computation failed to
+// hide), run the health mirror checks, append the arrivals in phase
+// order, and post the next axis's forwarded sends. Every receive of
+// the axis completes before any mirror check is sent: when one rank is
+// the neighbor on both sides, both halo messages precede the checks
+// on the link, which delivers in order.
+func (r *rankState) completeHaloAxis() error {
+	lo := r.haloDone
+	hi := r.haloAxisEnd(lo)
+	for pi := lo; pi < hi; pi++ {
 		ph := &r.plan.Halo[pi]
 		st := &r.phaseState[pi]
 		wsp := r.rec.StartSpan(phaseHaloWait)
-		recv := st.recv.Wait()
+		st.recvBuf = st.recv.Wait()
 		wsp.End()
 		r.rec.FlowRecv(ph.Tag, ph.RecvPeer)
 		r.stats.HaloMessages++
-		sp := r.rec.StartSpan(phaseHalo)
-		if r.healthStep {
-			if err := r.mirrorCheck(ph, st.sentSum, health.Checksum64(recv.Bytes())); err != nil {
-				r.p.ReleaseBuffer(recv)
-				sp.End()
-				return r.rankErr("health", err)
+	}
+	sp := r.rec.StartSpan(phaseHalo)
+	defer sp.End()
+	var err error
+	for pi := lo; pi < hi; pi++ {
+		st := &r.phaseState[pi]
+		if err == nil && r.healthStep {
+			if e := r.mirrorCheck(&r.plan.Halo[pi], st.sentSum, health.Checksum64(st.recvBuf.Bytes())); e != nil {
+				err = r.rankErr("health", e)
 			}
 		}
-		err := r.appendHalo(pi, recv)
-		if err == nil && pi+1 < len(r.plan.Halo) {
-			r.postHaloSend(pi + 1)
+	}
+	for pi := lo; pi < hi; pi++ {
+		st := &r.phaseState[pi]
+		if err == nil {
+			if e := r.appendHalo(pi, st.recvBuf); e != nil {
+				err = r.rankErr("halo", e)
+			}
+		} else {
+			r.p.ReleaseBuffer(st.recvBuf)
 		}
-		sp.End()
-		if err != nil {
-			return r.rankErr("halo", err)
-		}
+		st.recvBuf = nil
+	}
+	if err != nil {
+		return err
+	}
+	r.haloDone = hi
+	if hi < len(r.plan.Halo) {
+		r.postHaloAxis(hi)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"log/slog"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -87,6 +88,74 @@ func TestOverlapPhasesRecorded(t *testing.T) {
 	}
 	if f := res.OverlapFraction(); !(f > 0 && f <= 1) {
 		t.Errorf("overlap fraction %g, want in (0, 1]", f)
+	}
+}
+
+// TestOverlapPostsCrossRankHaloFirst: in the overlapped mode every rank
+// posts a cross-rank halo send before its interior stage starts, on
+// every evaluation — including grids that leave an axis unsplit, whose
+// self-exchange phases come first in the compiled plan and would
+// otherwise hold the first cross-rank send back until after the
+// interior stage, leaving nothing in flight to overlap.
+func TestOverlapPostsCrossRankHaloFirst(t *testing.T) {
+	cfg, model := silicaConfig(t, 4, 300, 44)
+	for _, dims := range []geom.IVec3{geom.IV(1, 1, 2), geom.IV(2, 1, 1), geom.IV(2, 2, 2)} {
+		cart, err := comm.NewCartDims(dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range Schemes() {
+			rec := obs.NewRecorder(cart.Size(), 1024)
+			if _, err := Run(cfg, model, Options{
+				Scheme: scheme, Cart: cart, Dt: 1, Steps: 2, Recorder: rec,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			type rankStep struct{ rank, step int }
+			events := rec.Events()
+			recvTid := map[string]int{}
+			for _, ev := range events {
+				if ev.Cat == "flow" && ev.Ph == "f" {
+					recvTid[ev.ID] = ev.Tid
+				}
+			}
+			// Earliest cross-rank halo send per (rank, step).
+			firstSend := map[rankStep]float64{}
+			for _, ev := range events {
+				if ev.Cat != "flow" || ev.Ph != "s" || recvTid[ev.ID] == ev.Tid {
+					continue
+				}
+				id, err := strconv.ParseUint(ev.ID, 16, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tag := int(uint32(id >> 8 & 0xffffff)); tag < tagHalo || tag >= tagForce {
+					continue
+				}
+				k := rankStep{ev.Tid, ev.Args["step"].(int)}
+				if ts, ok := firstSend[k]; !ok || ev.Ts < ts {
+					firstSend[k] = ev.Ts
+				}
+			}
+			interiors := 0
+			for _, ev := range events {
+				if ev.Cat != "phase" || ev.Name != "force:interior" {
+					continue
+				}
+				interiors++
+				k := rankStep{ev.Tid, ev.Args["step"].(int)}
+				ts, ok := firstSend[k]
+				if !ok {
+					t.Errorf("%v on %v: rank %d step %d sent no cross-rank halo message", scheme, dims, k.rank, k.step)
+				} else if ts > ev.Ts {
+					t.Errorf("%v on %v: rank %d step %d posted its first cross-rank halo send %.1f µs after the interior stage began",
+						scheme, dims, k.rank, k.step, ts-ev.Ts)
+				}
+			}
+			if want := cart.Size() * 3; interiors != want {
+				t.Errorf("%v on %v: %d interior stages recorded, want %d (3 evaluations per rank)", scheme, dims, interiors, want)
+			}
+		}
 	}
 }
 

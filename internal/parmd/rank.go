@@ -197,9 +197,11 @@ type rankState struct {
 
 	// plan is the compiled communication schedule (peers, tags, slab
 	// bounds, frame shifts); phaseState is its per-step scratch, one
-	// entry per halo phase, reused across steps.
+	// entry per halo phase, reused across steps; haloDone counts the
+	// phases of the current exchange already received and appended.
 	plan       *ExchangePlan
 	phaseState []haloPhaseState
+	haloDone   int
 
 	// bal is the adaptive-repartitioning state (nil when no Balancer is
 	// configured); hopClamp relaxes the one-hop migration invariant

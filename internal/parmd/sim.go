@@ -140,9 +140,10 @@ type Result struct {
 	// BalanceChecks, Repartitions, and Imbalance summarize the adaptive
 	// balancer when Options.Balance was set: the number of collective
 	// balance checks, how many of them repartitioned the decomposition,
-	// and the force-phase imbalance (max/mean over ranks) measured at
-	// the last check. Zero when the balancer was off; ForceImbalance()
-	// gives the whole-run measure either way.
+	// and the force-phase imbalance (max/mean over ranks of the
+	// balancer's load measure) at the last check. Zero when the
+	// balancer was off; ForceImbalance() gives the whole-run
+	// wall-time measure either way.
 	BalanceChecks int
 	Repartitions  int
 	Imbalance     float64
