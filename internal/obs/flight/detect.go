@@ -50,7 +50,8 @@ type DetectConfig struct {
 	ModelSteps int
 	// Cooldown is the minimum number of steps between two anomalies
 	// of the same kind (default 50), bounding the event rate of a
-	// persistently sick run.
+	// persistently sick run. Only an earlier hard anomaly holds back a
+	// hard one, so a warning cannot swallow the escalation after it.
 	Cooldown int
 	// LogSize bounds the retained anomaly ring (default 256).
 	LogSize int
@@ -176,24 +177,35 @@ type detectors struct {
 	modSeeded              bool
 	compStreak, commStreak int
 
-	lastFire map[string]int
+	lastFire map[string]int // any anomaly, per kind
+	lastHard map[string]int // hard anomalies, per kind
 }
 
 func (d *detectors) init(cfg DetectConfig) {
 	d.cfg = cfg
 	d.lastFire = make(map[string]int, len(AnomalyKinds))
+	d.lastHard = make(map[string]int, len(AnomalyKinds))
 	for _, k := range AnomalyKinds {
 		d.lastFire[k] = -1 << 30
+		d.lastHard[k] = -1 << 30
 	}
 }
 
-// cooled reports (and records) whether a kind may fire at step —
-// at most one anomaly per kind per Cooldown window.
-func (d *detectors) cooled(kind string, step int) bool {
-	if step-d.lastFire[kind] < d.cfg.Cooldown {
+// cooled reports (and records) whether an anomaly of a kind may fire
+// at step — at most one per kind per Cooldown window, except that a
+// hard anomaly is held back only by an earlier hard one.
+func (d *detectors) cooled(kind string, step int, hard bool) bool {
+	last := d.lastFire
+	if hard {
+		last = d.lastHard
+	}
+	if step-last[kind] < d.cfg.Cooldown {
 		return false
 	}
 	d.lastFire[kind] = step
+	if hard {
+		d.lastHard[kind] = step
+	}
 	return true
 }
 
@@ -219,11 +231,12 @@ func (d *detectors) step(r *Recorder, acc *stepAcc) {
 		}
 		if sigma > 0 {
 			z := (x - d.wallMean) / sigma
-			if z >= d.cfg.WallZWarn && d.cooled(KindWall, acc.step) {
+			hard := z >= d.cfg.WallZHard
+			if z >= d.cfg.WallZWarn && d.cooled(KindWall, acc.step, hard) {
 				r.emit(Anomaly{
 					Kind: KindWall, Step: acc.step, TNs: acc.tNs,
 					Value: x, Threshold: d.wallMean + d.cfg.WallZWarn*sigma,
-					Score: z, Hard: z >= d.cfg.WallZHard,
+					Score: z, Hard: hard,
 				})
 			}
 		}
@@ -247,7 +260,7 @@ func (d *detectors) step(r *Recorder, acc *stepAcc) {
 		}
 		if d.imbStreak >= d.cfg.ImbalanceSteps {
 			d.imbStreak = 0
-			if d.cooled(KindImbalance, acc.step) {
+			if d.cooled(KindImbalance, acc.step, false) {
 				r.emit(Anomaly{
 					Kind: KindImbalance, Step: acc.step, TNs: acc.tNs,
 					Value: d.imbEwma, Threshold: d.cfg.ImbalanceWarn,
@@ -267,7 +280,7 @@ func (d *detectors) step(r *Recorder, acc *stepAcc) {
 		d.cwFast += 0.1 * (frac - d.cwFast)
 		d.cwSlow += 0.01 * (frac - d.cwSlow)
 		if warm && d.cwFast >= d.cfg.CommWaitFloor && d.cwSlow > 0 &&
-			d.cwFast >= d.cfg.CommWaitRatio*d.cwSlow && d.cooled(KindCommWait, acc.step) {
+			d.cwFast >= d.cfg.CommWaitRatio*d.cwSlow && d.cooled(KindCommWait, acc.step, false) {
 			r.emit(Anomaly{
 				Kind: KindCommWait, Step: acc.step, TNs: acc.tNs,
 				Value: d.cwFast, Threshold: d.cfg.CommWaitRatio * d.cwSlow,
@@ -282,7 +295,7 @@ func (d *detectors) step(r *Recorder, acc *stepAcc) {
 	// Nth step) leave the streak untouched.
 	if r.cfg.Health != nil {
 		ok, warnC, fail := r.cfg.Health.Totals()
-		if fail > d.hFail && d.cooled(KindHealth, acc.step) {
+		if fail > d.hFail && d.cooled(KindHealth, acc.step, true) {
 			r.emit(Anomaly{
 				Kind: KindHealth, Step: acc.step, TNs: acc.tNs,
 				Value: float64(fail), Score: 100, Hard: true,
@@ -295,7 +308,7 @@ func (d *detectors) step(r *Recorder, acc *stepAcc) {
 		}
 		if d.hStreak >= d.cfg.WarnStreak {
 			d.hStreak = 0
-			if d.cooled(KindHealth, acc.step) {
+			if d.cooled(KindHealth, acc.step, false) {
 				r.emit(Anomaly{
 					Kind: KindHealth, Step: acc.step, TNs: acc.tNs,
 					Value: float64(warnC), Threshold: float64(d.cfg.WarnStreak),
@@ -341,7 +354,7 @@ func (d *detectors) residual(r *Recorder, acc *stepAcc, phase string, measured, 
 	if streak < d.cfg.ModelSteps {
 		return streak
 	}
-	if d.cooled(KindModel, acc.step) {
+	if d.cooled(KindModel, acc.step, false) {
 		r.emit(Anomaly{
 			Kind: KindModel, Phase: phase, Step: acc.step, TNs: acc.tNs,
 			Value: ratio, Threshold: d.cfg.ModelBand, Score: score / d.cfg.ModelBand,

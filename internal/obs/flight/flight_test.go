@@ -121,6 +121,36 @@ func TestWallSpikeDetector(t *testing.T) {
 	}
 }
 
+// TestWallEscalationBeatsCooldown: a warning-level wall spike must not
+// hold back a hard spike that follows inside its cooldown window —
+// the run that only recorded the warning would replay as healthy. A
+// second hard spike inside the window stays suppressed.
+func TestWallEscalationBeatsCooldown(t *testing.T) {
+	r := New(Config{Ranks: 1, Detect: DetectConfig{Warmup: 10, Cooldown: 50}})
+	for step := 0; step < 60; step++ {
+		wall := int64(1_000_000)
+		switch step {
+		case 20:
+			wall = 1_500_000 // z = 10 against the 5% sigma floor: a warning
+		case 30:
+			wall = 100_000_000 // z ≈ 1900: hard
+		case 40:
+			wall = 1_000_000_000 // z ≈ 150 even after step 30 widened sigma: hard
+		}
+		r.ObserveStep(mkRec(step, 0, wall, nil, nil))
+	}
+	snap := r.Anomalies()
+	if snap.Total != 2 {
+		t.Fatalf("anomalies=%d (%+v), want the warning and the first hard spike", snap.Total, snap.Anomalies)
+	}
+	if a := snap.Anomalies[0]; a.Kind != KindWall || a.Step != 20 || a.Hard {
+		t.Errorf("first anomaly = %+v, want a soft wall warning at step 20", a)
+	}
+	if a := snap.Anomalies[1]; a.Kind != KindWall || a.Step != 30 || !a.Hard {
+		t.Errorf("second anomaly = %+v, want a hard wall spike at step 30", a)
+	}
+}
+
 func TestImbalanceDetector(t *testing.T) {
 	r := New(Config{
 		Ranks:  2,
