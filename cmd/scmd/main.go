@@ -70,7 +70,7 @@ func main() {
 		parityEv   = flag.Int("parity", 0, "SC-vs-FS tuple-parity probe every N steps (0 = off; expensive, implies -health); parallel runs only")
 		abortFail  = flag.Bool("abort-on-fail", false, "abort the run when a health probe fails")
 		postmortem = flag.String("postmortem", "", "on abort (rank failure, health fail, SIGINT/SIGTERM) write a postmortem bundle to this directory; parallel runs only")
-		faultSpec  = flag.String("fault", "", "inject a message fault: class[:N] corrupts traffic of that class (migrate, halo, force, health, balance) after N clean messages; parallel runs only")
+		faultSpec  = flag.String("fault", "", "inject a message fault: class[:N] corrupts traffic of that class (migrate, halo, force, health, balance, vote) after N clean messages; parallel runs only")
 		modelCheck = flag.Bool("model-check", false, "calibrate the perfmodel in the background and flag steps drifting from its prediction; parallel runs only")
 		logFormat  = flag.String("log", "", "structured run log to stderr: text or json")
 		transport  = flag.String("transport", "chan", "parallel transport: chan (in-process goroutine ranks) or socket (one OS process per rank over a length-prefixed wire protocol)")
@@ -580,7 +580,7 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 		elapsed.Seconds()*1e3/float64(max(1, steps)),
 		res.Comm.Messages, float64(res.Comm.Bytes)/1e6)
 	fmt.Println("comm by traffic class (from the runtime's per-tag counters):")
-	for _, class := range []string{"halo", "force", "migrate", "collective"} {
+	for _, class := range []string{"halo", "force", "migrate", "vote", "collective"} {
 		s := res.CommByClass[class]
 		if s.Messages == 0 {
 			continue
@@ -590,6 +590,8 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 	}
 	fmt.Printf("max rank: %d owned atoms, %d halo atoms imported, %d search candidates\n",
 		maxRank.OwnedAtoms, maxRank.AtomsImported, maxRank.SearchCandidates)
+	fmt.Printf("tuple lists rebuilt %d times over %d force evaluations (skin %.3f Å from the cell lattice)\n",
+		res.ListRebuilds, steps+1, res.Skin)
 	if popt.Balance != nil {
 		fmt.Printf("adaptive balance: %d checks, %d repartitions, final force imbalance %.2f (whole run %.2f)\n",
 			res.BalanceChecks, res.Repartitions, res.Imbalance, res.ForceImbalance())

@@ -29,6 +29,18 @@ func (b *Buffer) Len() int { return len(b.b) }
 // its steady-state capacity once and never allocates again.
 func (b *Buffer) Reset() { b.b = b.b[:0] }
 
+// Reserve makes room for n more bytes without changing the payload, so
+// a payload of known size is written with at most one allocation
+// instead of a chain of append growths. A quarter of headroom keeps
+// payloads that fluctuate around n from reallocating again.
+func (b *Buffer) Reserve(n int) {
+	if cap(b.b)-len(b.b) < n {
+		nb := make([]byte, len(b.b), len(b.b)+n+n/4)
+		copy(nb, b.b)
+		b.b = nb
+	}
+}
+
 // Grow extends the buffer by n uninitialized bytes and returns the
 // extension for the caller to fill — the receive path of a byte-stream
 // transport reads a frame payload straight into a pooled buffer with

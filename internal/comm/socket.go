@@ -136,6 +136,9 @@ func DialSocket(cfg SocketConfig) (*SocketTransport, error) {
 		inbox:   make([]chan Message, cfg.Size),
 		closeCh: make(chan struct{}),
 		log:     cfg.Log,
+		// Room for the buffers a step keeps in flight, so the pool's
+		// own slice does not grow while a run warms up.
+		pool: make([]*Buffer, 0, 64),
 	}
 	for i := range t.inbox {
 		t.inbox[i] = make(chan Message, linkBuffer)

@@ -44,8 +44,9 @@ type Balancer struct {
 	// a distant optimum takes several checks instead.
 	MaxShift int
 
-	// countWork weighs each rank's load by the tuple-search candidates
-	// it examined since the previous check instead of its
+	// countWork weighs each rank's load by the list entries it
+	// evaluated since the previous check (RankStats.ListEntries, counted
+	// on every step, reuse steps included) instead of its
 	// force-evaluation wall time. The counts are a pure function of the
 	// physics state, so every decision — and the whole repartition
 	// sequence — is reproducible on a loaded machine, which is what
@@ -141,7 +142,7 @@ func (r *rankState) balanceCheck() (bool, error) {
 	b.checks++
 	load := r.stats.ForceNs
 	if b.cfg.countWork {
-		load = r.stats.SearchCandidates
+		load = r.stats.ListEntries
 	}
 	interval := load - b.prevLoad
 	b.prevLoad = load
@@ -374,7 +375,10 @@ func (r *rankState) repartition(newDec *Decomp) error {
 	r.hopClamp = true
 	defer func() { r.hopClamp = false }()
 	for i := 0; i < rounds; i++ {
-		if err := r.migrate(); err != nil {
+		sp := r.rec.StartSpan(phaseMigrate)
+		err := r.migrateAtoms()
+		sp.End()
+		if err != nil {
 			return err
 		}
 	}

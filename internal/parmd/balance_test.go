@@ -77,37 +77,70 @@ func TestBalancerReducesVoidImbalance(t *testing.T) {
 	}
 }
 
-// TestBalancerUniformHysteresis: on a perfectly uniform crystal the
-// balancer's threshold and min-gain guards must hold — zero
-// repartitions, every check a cheap no-op. Retries absorb the rare
-// noise spike a shared machine can inject into one interval.
+// TestBalancerUniformHysteresis: on a uniform crystal the balancer's
+// threshold and min-gain guards must hold. Both are pinned on the exact
+// work signal (Balancer.countWork: list entries, a pure function of the
+// physics state), so every decision is reproducible on any host:
+//
+//   - threshold: 5³ unit cells lay 6 pair cells per axis, which the
+//     (2,1,1) grid splits 3/3; the imbalance stays below the default
+//     1.2 threshold, and no check repartitions.
+//   - min gain: 4³ unit cells lay 5 pair cells, split 3/2 (960 and 576
+//     atoms), so every check passes the threshold. The cell layers do
+//     not hold equal atom counts (the 5.73 Å cells do not divide the
+//     7.16 Å crystal period), and with the default 0.02 guard the
+//     balancer takes the better split it predicts; a guard above the
+//     largest gain any move can reach (imbalance − 1) holds the
+//     boundaries.
+//
+// One run on the default wall-time signal, on the even split, keeps
+// that path covered: host noise would have to reach the 20 % threshold
+// margin to move a boundary, and retries absorb a rare spike.
 func TestBalancerUniformHysteresis(t *testing.T) {
 	if testing.Short() {
-		t.Skip("timing-dependent run")
+		t.Skip("40-step balanced runs")
 	}
-	cfg, model := silicaConfig(t, 4, 300, 17)
+	even, model := silicaConfig(t, 5, 300, 17)
+	uneven, _ := silicaConfig(t, 4, 300, 17)
 	cart, err := comm.NewCartDims(geom.IV(2, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Scheme: SchemeSC, Cart: cart, Dt: 0.5, Steps: 40, Workers: 1,
-		Balance: &Balancer{Every: 10}}
-	const attempts = 3
-	reparts := 0
-	for a := 0; a < attempts; a++ {
-		res, err := Run(cfg, model, opt)
+	run := func(cfg *workload.Config, b Balancer) *Result {
+		t.Helper()
+		res, err := Run(cfg, model, Options{Scheme: SchemeSC, Cart: cart, Dt: 0.5, Steps: 40, Workers: 1, Balance: &b})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.BalanceChecks == 0 {
-			t.Fatal("no balance checks ran")
+		if res.BalanceChecks != 3 {
+			t.Fatalf("%d balance checks, want 3", res.BalanceChecks)
 		}
-		reparts = res.Repartitions
+		return res
+	}
+
+	if res := run(even, Balancer{Every: 10, countWork: true}); res.Repartitions != 0 || !(res.Imbalance < 1.2) {
+		t.Errorf("even split: %d repartitions at imbalance %.3f, want none below the 1.2 threshold",
+			res.Repartitions, res.Imbalance)
+	}
+	held := run(uneven, Balancer{Every: 10, MinGain: 0.3, countWork: true})
+	if held.Repartitions != 0 || !(held.Imbalance > 1.2 && held.Imbalance < 1.3) {
+		t.Errorf("3/2 split, min gain 0.3: %d repartitions at imbalance %.3f, want none above the threshold",
+			held.Repartitions, held.Imbalance)
+	}
+	if res := run(uneven, Balancer{Every: 10, countWork: true}); res.Repartitions == 0 {
+		t.Errorf("3/2 split, default min gain: no repartition at imbalance %.3f; the guard test above is vacuous",
+			res.Imbalance)
+	}
+
+	const attempts = 3
+	reparts := 0
+	for a := 0; a < attempts; a++ {
+		reparts = run(even, Balancer{Every: 10}).Repartitions
 		if reparts == 0 {
 			return
 		}
 	}
-	t.Errorf("uniform workload repartitioned %d times on every attempt", reparts)
+	t.Errorf("even split on wall time: repartitioned %d times on every attempt", reparts)
 }
 
 // TestBalanceStepZeroAllocs: with the balancer active and checking on

@@ -92,51 +92,75 @@ func TestExchangePlanCompile(t *testing.T) {
 // SC-MD's octant import must move strictly fewer halo and write-back
 // bytes than FS-MD's full shell on the same silica workload, wire
 // volumes must match the codec's record sizes exactly, and the
-// per-class counters must sum to the world totals.
+// per-class counters must sum to the world totals. Each scheme runs
+// twice: with the forced-rebuild seam, every evaluation imports whole
+// 48-byte records; with the skin, the two steps reuse the initial
+// evaluation's import set and resend 24-byte positions only.
 func TestCommByClassAccounting(t *testing.T) {
 	cfg, model := silicaConfig(t, 4, 300, 21)
 	cart, _ := comm.NewCartDims(geom.IV(2, 2, 2))
 	const steps = 2
-	byClass := map[Scheme]map[string]comm.Stats{}
-	imported := map[Scheme]int64{}
-	for _, scheme := range []Scheme{SchemeSC, SchemeFS} {
-		res, err := Run(cfg, model, Options{Scheme: scheme, Cart: cart, Dt: 1, Steps: steps})
-		if err != nil {
-			t.Fatalf("%v: %v", scheme, err)
+	for _, forced := range []bool{true, false} {
+		byClass := map[Scheme]map[string]comm.Stats{}
+		imported := map[Scheme]int64{}
+		for _, scheme := range []Scheme{SchemeSC, SchemeFS} {
+			res, err := Run(cfg, model, Options{Scheme: scheme, Cart: cart, Dt: 1, Steps: steps, forceRebuild: forced})
+			if err != nil {
+				t.Fatalf("%v: %v", scheme, err)
+			}
+			var sum comm.Stats
+			for _, s := range res.CommByClass {
+				sum.Messages += s.Messages
+				sum.Bytes += s.Bytes
+				sum.Wait += s.Wait
+			}
+			if sum != res.Comm {
+				t.Errorf("%v forced=%v: classes sum to %+v, world total %+v", scheme, forced, sum, res.Comm)
+			}
+			// Skinned, the derivation below assumes the initial build only.
+			wantBuilds := int64(1)
+			if forced {
+				wantBuilds = steps + 1
+			}
+			if res.ListRebuilds != wantBuilds {
+				t.Fatalf("%v forced=%v: %d list rebuilds, want %d", scheme, forced, res.ListRebuilds, wantBuilds)
+			}
+			for _, s := range res.RankStats {
+				imported[scheme] += s.AtomsImported
+			}
+			byClass[scheme] = res.CommByClass
 		}
-		var sum comm.Stats
-		for _, s := range res.CommByClass {
-			sum.Messages += s.Messages
-			sum.Bytes += s.Bytes
-			sum.Wait += s.Wait
-		}
-		if sum != res.Comm {
-			t.Errorf("%v: classes sum to %+v, world total %+v", scheme, sum, res.Comm)
-		}
-		for _, s := range res.RankStats {
-			imported[scheme] += s.AtomsImported
-		}
-		byClass[scheme] = res.CommByClass
-	}
 
-	for _, class := range []string{"halo", "force"} {
-		sc, fs := byClass[SchemeSC][class], byClass[SchemeFS][class]
-		if !(sc.Bytes < fs.Bytes) {
-			t.Errorf("%s bytes: SC %d not strictly below FS %d", class, sc.Bytes, fs.Bytes)
+		for _, class := range []string{"halo", "force"} {
+			sc, fs := byClass[SchemeSC][class], byClass[SchemeFS][class]
+			if !(sc.Bytes < fs.Bytes) {
+				t.Errorf("forced=%v %s bytes: SC %d not strictly below FS %d", forced, class, sc.Bytes, fs.Bytes)
+			}
+			if !(2*sc.Messages == fs.Messages) {
+				t.Errorf("forced=%v %s messages: SC %d vs FS %d, want exactly half", forced, class, sc.Messages, fs.Messages)
+			}
 		}
-		if !(2*sc.Messages == fs.Messages) {
-			t.Errorf("%s messages: SC %d vs FS %d, want exactly half", class, sc.Messages, fs.Messages)
-		}
-	}
-	// Wire volume = imported atoms × codec record size, exactly: every
-	// imported atom crosses the wire once on import (48 B) and its
-	// force once on write-back (24 B).
-	for _, scheme := range []Scheme{SchemeSC, SchemeFS} {
-		if got, want := byClass[scheme]["halo"].Bytes, imported[scheme]*HaloAtomWireBytes; got != want {
-			t.Errorf("%v halo bytes %d, want %d imported atoms × %d", scheme, got, imported[scheme], HaloAtomWireBytes)
-		}
-		if got, want := byClass[scheme]["force"].Bytes, imported[scheme]*ForceWireBytes; got != want {
-			t.Errorf("%v force bytes %d, want %d imported atoms × %d", scheme, got, imported[scheme], ForceWireBytes)
+		// Wire volume = imported atoms × codec record size, exactly: every
+		// imported atom crosses the wire once per evaluation on import
+		// (48 B on a rebuild, 24 B between rebuilds) and its force once
+		// on write-back (24 B). Between rebuilds the import set is the
+		// initial one, so each of the steps+1 evaluations imports a third
+		// of the total.
+		for _, scheme := range []Scheme{SchemeSC, SchemeFS} {
+			want := imported[scheme] * HaloAtomWireBytes
+			if !forced {
+				perEval := imported[scheme] / (steps + 1)
+				if perEval*(steps+1) != imported[scheme] {
+					t.Errorf("%v: %d imported atoms over %d evaluations of one import set", scheme, imported[scheme], steps+1)
+				}
+				want = perEval * (HaloAtomWireBytes + steps*HaloPositionWireBytes)
+			}
+			if got := byClass[scheme]["halo"].Bytes; got != want {
+				t.Errorf("%v forced=%v: halo bytes %d, want %d for %d imported atoms", scheme, forced, got, want, imported[scheme])
+			}
+			if got, want := byClass[scheme]["force"].Bytes, imported[scheme]*ForceWireBytes; got != want {
+				t.Errorf("%v forced=%v: force bytes %d, want %d imported atoms × %d", scheme, forced, got, imported[scheme], ForceWireBytes)
+			}
 		}
 	}
 }

@@ -33,17 +33,18 @@ var faultClasses = map[string][2]int{
 	"force":   {tagForce, tagHealth},
 	"health":  {tagHealth, tagHealth + 100},
 	"balance": {tagBalance, tagBalance + 100},
+	"vote":    {tagVote, tagVote + 100},
 }
 
 // NewFaultTransport builds a transport for a ranks-sized world that
 // corrupts every message of the named traffic class ("migrate",
-// "halo", "force", "health", "balance") after the first `after`
+// "halo", "force", "health", "balance", "vote") after the first `after`
 // matching messages have passed clean — so a run can step healthily
 // for a while before the fault lands mid-run.
 func NewFaultTransport(ranks int, class string, after int) (*FaultTransport, error) {
 	r, ok := faultClasses[class]
 	if !ok {
-		return nil, fmt.Errorf("parmd: unknown fault class %q (want migrate, halo, force, health, or balance)", class)
+		return nil, fmt.Errorf("parmd: unknown fault class %q (want migrate, halo, force, health, balance, or vote)", class)
 	}
 	return &FaultTransport{
 		AsyncTransport: comm.NewChanTransport(ranks).(comm.AsyncTransport),
@@ -90,7 +91,7 @@ type DelayTransport struct {
 func NewDelayTransport(ranks int, class string, after, count int, delay time.Duration) (*DelayTransport, error) {
 	r, ok := faultClasses[class]
 	if !ok {
-		return nil, fmt.Errorf("parmd: unknown fault class %q (want migrate, halo, force, health, or balance)", class)
+		return nil, fmt.Errorf("parmd: unknown fault class %q (want migrate, halo, force, health, balance, or vote)", class)
 	}
 	return &DelayTransport{
 		AsyncTransport: comm.NewChanTransport(ranks).(comm.AsyncTransport),

@@ -261,16 +261,29 @@ func TestFineLatticeGeometry(t *testing.T) {
 }
 
 // TestFineLatticeHaloUnchanged asserts the exchange traffic exactly:
-// searching triplets on sub-cell lattices moves no exchange traffic.
-// The counts are those of the pair-lattice search on the golden
-// workload (six steps plus the initial evaluation): bytes and messages
-// of the halo, write-back, migration and collective classes and the
-// imported atoms summed over ranks. Hybrid-MD imports FS-MD's full
-// shell, so its rows carry the same counts. The shifted golden crystal
-// migrates no atom in six steps, so its migration class is one empty
-// message per rank, split axis and direction per step; the last rows
-// run the same thermalized crystal unshifted, where 55 atoms cross
-// rank planes and migration carries 60-byte records.
+// searching triplets on sub-cell lattices moves no exchange traffic,
+// and skin lists move only the traffic their protocol derives.
+//
+// With the forced-rebuild seam every step rebuilds, which is the
+// exchange protocol of a search on every step; the counts are those of
+// the pair-lattice search on the golden workload (six steps plus the
+// initial evaluation): bytes and messages of the halo, write-back,
+// migration and collective classes and the imported atoms summed over
+// ranks. Hybrid-MD imports FS-MD's full shell, so its rows carry the
+// same counts. The shifted golden crystal migrates no atom in six
+// steps, so its migration class is one empty message per rank, split
+// axis and direction per step; the last rows run the same thermalized
+// crystal unshifted, where 55 atoms cross rank planes and migration
+// carries 60-byte records. The rebuild vote adds one 8-byte message
+// from each rank but 0 to rank 0 and one back, per step.
+//
+// Skinned, no step moves an atom half a skin, so the initial
+// evaluation is the only rebuild: every step resends the positions of
+// its import set (24 B per atom instead of 48), migrates nothing, and
+// writes back the same forces. Halo and write-back messages, the
+// collectives and the vote are unchanged. The golden crystal imports
+// the same atoms either way; the thermal one keeps its initial owners
+// and so imports the initial evaluation's set seven times.
 func TestFineLatticeHaloUnchanged(t *testing.T) {
 	thermal, model := silicaConfig(t, 4, 300, 1)
 	golden, _ := silicaConfig(t, 4, 300, 1)
@@ -280,52 +293,71 @@ func TestFineLatticeHaloUnchanged(t *testing.T) {
 	type traffic struct {
 		haloBytes, haloMsgs, forceBytes, forceMsgs, imported int64
 		migrateBytes, migrateMsgs, collBytes, collMsgs       int64
+		voteBytes, voteMsgs                                  int64
 	}
+	const steps = 6
 	cases := []struct {
 		scheme Scheme
 		dims   geom.IVec3
 		cfg    *workload.Config
-		want   traffic
+		forced traffic
+		// skinImported is the skinned run's imported-atom total.
+		skinImported int64
 	}{
-		{SchemeSC, geom.IV(2, 1, 1), golden, traffic{488544, 42, 244272, 42, 10178, 0, 24, 16, 2}},
-		{SchemeSC, geom.IV(2, 2, 2), golden, traffic{835968, 168, 417984, 168, 17416, 0, 288, 112, 14}},
-		{SchemeFS, geom.IV(2, 1, 1), golden, traffic{3800832, 84, 1900416, 84, 79184, 0, 24, 16, 2}},
-		{SchemeFS, geom.IV(2, 2, 2), golden, traffic{8606304, 336, 4303152, 336, 179298, 0, 288, 112, 14}},
-		{SchemeHybrid, geom.IV(2, 1, 1), golden, traffic{3800832, 84, 1900416, 84, 79184, 0, 24, 16, 2}},
-		{SchemeHybrid, geom.IV(2, 2, 2), golden, traffic{8606304, 336, 4303152, 336, 179298, 0, 288, 112, 14}},
-		{SchemeSC, geom.IV(2, 2, 2), thermal, traffic{858960, 168, 429480, 168, 17895, 3300, 288, 112, 14}},
-		{SchemeFS, geom.IV(2, 2, 2), thermal, traffic{8283744, 336, 4141872, 336, 172578, 3300, 288, 112, 14}},
-		{SchemeHybrid, geom.IV(2, 2, 2), thermal, traffic{8283744, 336, 4141872, 336, 172578, 3300, 288, 112, 14}},
+		{SchemeSC, geom.IV(2, 1, 1), golden, traffic{488544, 42, 244272, 42, 10178, 0, 24, 16, 2, 96, 12}, 10178},
+		{SchemeSC, geom.IV(2, 2, 2), golden, traffic{835968, 168, 417984, 168, 17416, 0, 288, 112, 14, 672, 84}, 17416},
+		{SchemeFS, geom.IV(2, 1, 1), golden, traffic{3800832, 84, 1900416, 84, 79184, 0, 24, 16, 2, 96, 12}, 79184},
+		{SchemeFS, geom.IV(2, 2, 2), golden, traffic{8606304, 336, 4303152, 336, 179298, 0, 288, 112, 14, 672, 84}, 179298},
+		{SchemeHybrid, geom.IV(2, 1, 1), golden, traffic{3800832, 84, 1900416, 84, 79184, 0, 24, 16, 2, 96, 12}, 79184},
+		{SchemeHybrid, geom.IV(2, 2, 2), golden, traffic{8606304, 336, 4303152, 336, 179298, 0, 288, 112, 14, 672, 84}, 179298},
+		{SchemeSC, geom.IV(2, 2, 2), thermal, traffic{858960, 168, 429480, 168, 17895, 3300, 288, 112, 14, 672, 84}, 18599},
+		{SchemeFS, geom.IV(2, 2, 2), thermal, traffic{8283744, 336, 4141872, 336, 172578, 3300, 288, 112, 14, 672, 84}, 170268},
+		{SchemeHybrid, geom.IV(2, 2, 2), thermal, traffic{8283744, 336, 4141872, 336, 172578, 3300, 288, 112, 14, 672, 84}, 170268},
 	}
 	for _, c := range cases {
-		for _, noOverlap := range []bool{false, true} {
-			cart, err := comm.NewCartDims(c.dims)
-			if err != nil {
-				t.Fatal(err)
+		a := c.skinImported / (steps + 1) // atoms of the one import set
+		skinned := c.forced
+		skinned.imported = c.skinImported
+		skinned.haloBytes = a * (HaloAtomWireBytes + steps*HaloPositionWireBytes)
+		skinned.forceBytes = c.skinImported * ForceWireBytes
+		skinned.migrateBytes, skinned.migrateMsgs = 0, 0
+		for _, forced := range []bool{true, false} {
+			want, wantBuilds := c.forced, int64(steps+1)
+			if !forced {
+				want, wantBuilds = skinned, 1
 			}
-			res, err := Run(c.cfg, model, Options{
-				Scheme: c.scheme, Cart: cart, Dt: 0.5, Steps: 6, Workers: 2, NoOverlap: noOverlap,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cls := res.CommByClass
-			got := traffic{
-				haloBytes:    cls["halo"].Bytes,
-				haloMsgs:     cls["halo"].Messages,
-				forceBytes:   cls["force"].Bytes,
-				forceMsgs:    cls["force"].Messages,
-				migrateBytes: cls["migrate"].Bytes,
-				migrateMsgs:  cls["migrate"].Messages,
-				collBytes:    cls["collective"].Bytes,
-				collMsgs:     cls["collective"].Messages,
-			}
-			for _, s := range res.RankStats {
-				got.imported += s.AtomsImported
-			}
-			if got != c.want {
-				t.Errorf("%v %v thermal=%v sync=%v: traffic %+v, want %+v",
-					c.scheme, c.dims, c.cfg == thermal, noOverlap, got, c.want)
+			for _, noOverlap := range []bool{false, true} {
+				cart, err := comm.NewCartDims(c.dims)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(c.cfg, model, Options{
+					Scheme: c.scheme, Cart: cart, Dt: 0.5, Steps: steps, Workers: 2, NoOverlap: noOverlap,
+					forceRebuild: forced,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cls := res.CommByClass
+				got := traffic{
+					haloBytes:    cls["halo"].Bytes,
+					haloMsgs:     cls["halo"].Messages,
+					forceBytes:   cls["force"].Bytes,
+					forceMsgs:    cls["force"].Messages,
+					migrateBytes: cls["migrate"].Bytes,
+					migrateMsgs:  cls["migrate"].Messages,
+					collBytes:    cls["collective"].Bytes,
+					collMsgs:     cls["collective"].Messages,
+					voteBytes:    cls["vote"].Bytes,
+					voteMsgs:     cls["vote"].Messages,
+				}
+				for _, s := range res.RankStats {
+					got.imported += s.AtomsImported
+				}
+				if got != want || res.ListRebuilds != wantBuilds {
+					t.Errorf("%v %v thermal=%v sync=%v forced=%v: traffic %+v after %d list builds, want %+v after %d",
+						c.scheme, c.dims, c.cfg == thermal, noOverlap, forced, got, res.ListRebuilds, want, wantBuilds)
+				}
 			}
 		}
 	}

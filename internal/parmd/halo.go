@@ -32,6 +32,12 @@ import (
 // streams them through the shared wire codec into pooled buffers, and
 // appends the arrivals. In steady state (capacities warmed up) the
 // whole exchange allocates nothing.
+//
+// Only list rebuilds select and append: between rebuilds each phase
+// resends the positions of the atoms it exported at the last rebuild
+// (sendIdx), in the same order, and the receiver overwrites the local
+// positions of the window it filled then — the same import set, with
+// half the bytes (HaloPositionWireBytes).
 
 // haloPhaseState is the per-step scratch of one compiled halo phase:
 // which local atoms were exported (for the force write-back), where
@@ -136,22 +142,30 @@ func (r *rankState) postHaloAxis(pi int) {
 func (r *rankState) postHaloSend(pi int) {
 	ph := &r.plan.Halo[pi]
 	st := &r.phaseState[pi]
-	st.sendIdx = st.sendIdx[:0]
-
 	buf := r.p.AcquireBuffer()
-	for i := range r.ecell {
-		e := r.ecell[i].Comp(ph.Axis)
-		if e < ph.SlabLo || e >= ph.SlabHi {
-			continue
+	if r.rebuild {
+		buf.Reserve(len(st.sendIdx) * HaloAtomWireBytes) // the last rebuild's slab
+		st.sendIdx = st.sendIdx[:0]
+		for i := range r.ecell {
+			e := r.ecell[i].Comp(ph.Axis)
+			if e < ph.SlabLo || e >= ph.SlabHi {
+				continue
+			}
+			// Shift into the receiver's frame (compiled cell/position
+			// adjustments, including the periodic image correction).
+			ec := r.ecell[i]
+			ec.SetComp(ph.Axis, e+ph.CellAdj)
+			lp := r.lpos[i]
+			lp.SetComp(ph.Axis, lp.Comp(ph.Axis)+ph.PosAdj)
+			putHaloAtom(buf, r.ids[i], r.species[i], ec, lp)
+			st.sendIdx = append(st.sendIdx, int32(i))
 		}
-		// Shift into the receiver's frame (compiled cell/position
-		// adjustments, including the periodic image correction).
-		ec := r.ecell[i]
-		ec.SetComp(ph.Axis, e+ph.CellAdj)
-		lp := r.lpos[i]
-		lp.SetComp(ph.Axis, lp.Comp(ph.Axis)+ph.PosAdj)
-		putHaloAtom(buf, r.ids[i], r.species[i], ec, lp)
-		st.sendIdx = append(st.sendIdx, int32(i))
+	} else {
+		for _, i := range st.sendIdx {
+			lp := r.lpos[i]
+			lp.SetComp(ph.Axis, lp.Comp(ph.Axis)+ph.PosAdj)
+			putHaloPosition(buf, lp)
+		}
 	}
 	st.sentSum = 0
 	if r.healthStep {
@@ -195,7 +209,11 @@ func (r *rankState) completeHaloAxis() error {
 	for pi := lo; pi < hi; pi++ {
 		st := &r.phaseState[pi]
 		if err == nil {
-			if e := r.appendHalo(pi, st.recvBuf); e != nil {
+			apply := r.appendHalo
+			if !r.rebuild {
+				apply = r.updateHalo
+			}
+			if e := apply(pi, st.recvBuf); e != nil {
 				err = r.rankErr("halo", e)
 			}
 		} else {
@@ -249,6 +267,29 @@ func (r *rankState) appendHalo(pi int, recv *comm.Buffer) error {
 	r.p.ReleaseBuffer(recv)
 	if err != nil {
 		return fmt.Errorf("decoding halo message from rank %d: %w", r.plan.Halo[pi].RecvPeer, err)
+	}
+	r.stats.AtomsImported += int64(st.recvCount)
+	return nil
+}
+
+// updateHalo decodes one phase's positions-only frame between rebuilds
+// into the local positions of the window the phase filled at the last
+// rebuild. A payload of any other size than one position per imported
+// atom is a malformed message.
+func (r *rankState) updateHalo(pi int, recv *comm.Buffer) error {
+	st := &r.phaseState[pi]
+	defer r.p.ReleaseBuffer(recv)
+	if want := st.recvCount * HaloPositionWireBytes; recv.Len() != want {
+		return fmt.Errorf("malformed halo message from rank %d: %d bytes, want %d positions of %d bytes",
+			r.plan.Halo[pi].RecvPeer, recv.Len(), st.recvCount, HaloPositionWireBytes)
+	}
+	var rd comm.Reader
+	rd.Reset(recv.Bytes())
+	for k := st.recvStart; k < st.recvStart+st.recvCount; k++ {
+		r.lpos[k] = getHaloPosition(&rd)
+	}
+	if err := rd.Err(); err != nil {
+		return fmt.Errorf("decoding halo positions from rank %d: %w", r.plan.Halo[pi].RecvPeer, err)
 	}
 	r.stats.AtomsImported += int64(st.recvCount)
 	return nil

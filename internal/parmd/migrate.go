@@ -7,19 +7,35 @@ import (
 	"sctuple/internal/geom"
 )
 
-// migrate moves atoms that drifted out of this rank's block to their
-// new owners, with one staged exchange per axis (two directions each),
-// following the compiled migration plan. An atom may hop at most one
-// rank per axis per step — guaranteed for any sane time step, since
-// blocks are at least one cutoff wide — and diagonal moves complete
-// over the successive axis phases. Positions travel in wrapped global
+// migrate is the step's ownership update: it takes the collective
+// list-rebuild vote (voteRebuild) and, on rebuild steps only, moves the
+// atoms that drifted out of this rank's block to their new owners
+// (migrateAtoms). Between rebuilds ownership, like the halo import set
+// and the tuple lists, stays as the last rebuild left it.
+func (r *rankState) migrate() error {
+	sp := r.rec.StartSpan(phaseMigrate)
+	defer sp.End()
+	if err := r.voteRebuild(); err != nil {
+		return r.rankErr("vote", err)
+	}
+	if !r.rebuild {
+		return nil
+	}
+	return r.migrateAtoms()
+}
+
+// migrateAtoms moves atoms that drifted out of this rank's block to
+// their new owners, with one staged exchange per axis (two directions
+// each), following the compiled migration plan. An atom may hop at
+// most one rank per axis per rebuild — guaranteed for any sane time
+// step, since blocks are at least one cutoff wide and rebuilds come
+// once atoms move half a skin — and diagonal moves complete over the
+// successive axis phases. Positions travel in wrapped global
 // coordinates through the shared wire codec; the receiving owner
 // reassigns the global cell, so every downstream consumer sees
 // owner-authoritative integer cells. When no atoms move, the exchange
 // sends empty pooled buffers and allocates nothing.
-func (r *rankState) migrate() error {
-	sp := r.rec.StartSpan(phaseMigrate)
-	defer sp.End()
+func (r *rankState) migrateAtoms() error {
 	for i := 0; i < r.nOwned; i++ {
 		r.gpos[i] = r.dec.Lat.Box.Wrap(r.gpos[i])
 		r.gcell[i] = r.dec.Lat.CellOf(r.gpos[i])

@@ -400,11 +400,13 @@ func TestTraceFlowEvents(t *testing.T) {
 // TestStepRecordClassBytes: the JSONL step records carry per-tag-class
 // byte deltas (comm_halo_bytes, comm_force_bytes, ...) whose per-rank
 // sums — plus the initial force evaluation the loop's records never
-// cover — reproduce the run's cumulative per-class totals.
+// cover — reproduce the run's cumulative per-class totals. Twelve
+// 1 fs steps take the run past a list rebuild, the only steps that
+// migrate.
 func TestStepRecordClassBytes(t *testing.T) {
 	cfg, model := silicaConfig(t, 4, 300, 33)
 	cart, _ := comm.NewCartDims(geom.IV(2, 1, 1))
-	const steps = 3
+	const steps = 12
 
 	var buf bytes.Buffer
 	res, err := Run(cfg, model, Options{
@@ -432,7 +434,10 @@ func TestStepRecordClassBytes(t *testing.T) {
 			}
 		}
 	}
-	for _, class := range []string{"halo", "force", "migrate"} {
+	if res.ListRebuilds < 2 {
+		t.Fatalf("%d list builds in %d steps; the migrate class needs a rebuild step", res.ListRebuilds, steps)
+	}
+	for _, class := range []string{"halo", "force", "migrate", "vote"} {
 		total := res.CommByClass[class].Bytes
 		if sums[class] <= 0 || sums[class] > total {
 			t.Errorf("class %s: step deltas sum to %d, cumulative total %d", class, sums[class], total)

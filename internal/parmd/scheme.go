@@ -64,6 +64,37 @@ func haloReach(model *potential.Model, side float64) int {
 	return t
 }
 
+// skin returns the Verlet skin s (Å) of a scheme's tuple lists on a
+// lattice of minimum pair-cell side: the largest value that changes no
+// cell count, sub-cell count or halo margin the scheme already uses
+// (DESIGN.md §5.21). Every SC/FS term searches sub-cells of side
+// side/k ≥ r_cut + s (k from subCells), and SC's chains of n−1 links
+// must stay inside its haloReach slab; Hybrid-MD fills its rows over
+// whole pair cells at r_cut2 + s and prunes triplets from them. The
+// result is shaved by a millionth so the skinned cutoff never lands on
+// a cell side through rounding; it is 0 when a cutoff fills its cell
+// exactly, which rebuilds the lists on every step that moves an atom.
+func (s Scheme) skin(model *potential.Model, side float64) float64 {
+	sk := math.Inf(1)
+	t := float64(haloReach(model, side))
+	for _, term := range model.Terms {
+		rc := term.Cutoff()
+		switch s {
+		case SchemeHybrid:
+			if term.N() == 2 {
+				sk = math.Min(sk, side-rc)
+			}
+		default:
+			k := float64(max(1, int(side/rc)))
+			sk = math.Min(sk, side/k-rc)
+			if s == SchemeSC {
+				sk = math.Min(sk, t*side/float64(term.N()-1)-rc)
+			}
+		}
+	}
+	return math.Max(0, sk*(1-1e-6))
+}
+
 // margins returns the halo margin (in cells) on the low and high side
 // of every axis for a scheme.
 //

@@ -88,6 +88,11 @@ type Options struct {
 	// -fault flag), and the socket fabric plugs genuinely distributed
 	// execution into (see RunSocket and scmd -transport socket).
 	Transport comm.Transport
+	// forceRebuild rebuilds the tuple lists on every step instead of
+	// when the displacement vote calls for it — a test seam that runs
+	// the unskinned protocol, against which reuse steps are checked.
+	forceRebuild bool
+
 	// Worker, when non-nil, marks this process as a single rank of a
 	// multi-process world: Run executes only Worker.Rank over the
 	// (required) Transport, gathers the final state and per-rank
@@ -147,6 +152,13 @@ type Result struct {
 	BalanceChecks int
 	Repartitions  int
 	Imbalance     float64
+	// ListRebuilds counts the force evaluations that rebuilt the tuple
+	// lists (the initial one included; RankStats.ListRebuilds holds
+	// each rank's count, equal on every rank), and Skin is the Verlet
+	// skin (Å) the lists were built with — derived from the lattice,
+	// not configured (DESIGN.md §5.21).
+	ListRebuilds int64
+	Skin         float64
 	// StepAllocs is the mean number of heap allocations per step across
 	// the whole step loop (all ranks, whole process), measured when
 	// Options.MeasureAllocs is set with Steps > 0; -1 otherwise.
@@ -257,6 +269,7 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 			return err
 		}
 		r.rec = opt.Recorder.Rank(p.Rank())
+		r.forceRebuild = opt.forceRebuild
 		r.monitor = opt.Health
 		if opt.Metrics != nil {
 			r.live = newLiveMetrics(opt.Metrics, p, opt.Recorder)
@@ -430,6 +443,9 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 		} else if err := gatherDistributed(p, r, fin, finals, res); err != nil {
 			return r.rankErr("gather", err)
 		}
+		if opt.Worker != nil || p.Rank() == 0 {
+			res.ListRebuilds, res.Skin = r.stats.ListRebuilds, r.skin
+		}
 		if r.bal != nil && p.Rank() == 0 {
 			res.BalanceChecks = r.bal.checks
 			res.Repartitions = r.bal.repartitions
@@ -543,4 +559,5 @@ func defineTagClasses(world *comm.World) {
 	world.DefineTagClass("force", tagForce, tagHealth)
 	world.DefineTagClass("health", tagHealth, tagHealth+100)
 	world.DefineTagClass("balance", tagBalance, tagBalance+100)
+	world.DefineTagClass("vote", tagVote, tagVote+100)
 }

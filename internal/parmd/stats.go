@@ -38,6 +38,12 @@ var rankStatFields = []rankStatField{
 	{"pair_list_entries",
 		func(s *RankStats) float64 { return float64(s.PairListEntries) },
 		func(s *RankStats, v float64) { s.PairListEntries = int64(v) }},
+	{"list_entries",
+		func(s *RankStats) float64 { return float64(s.ListEntries) },
+		func(s *RankStats, v float64) { s.ListEntries = int64(v) }},
+	{"list_rebuilds",
+		func(s *RankStats) float64 { return float64(s.ListRebuilds) },
+		func(s *RankStats, v float64) { s.ListRebuilds = int64(v) }},
 	{"atoms_imported",
 		func(s *RankStats) float64 { return float64(s.AtomsImported) },
 		func(s *RankStats, v float64) { s.AtomsImported = int64(v) }},
@@ -112,9 +118,9 @@ func rankStatDeltas(cur, prev *RankStats, counters map[string]int64) {
 type liveMetrics struct {
 	// counters is parallel to rankStatFields; nil entries are fields
 	// that do not live-publish from this rank (virial everywhere —
-	// it's a gauge of the summed final state — and steps on every rank
-	// but 0, since the registry's steps counter is a run-global step
-	// count, not a rank-step sum).
+	// it's a gauge of the summed final state — and steps and
+	// list_rebuilds on every rank but 0, since the registry holds those
+	// as run-global counts, not rank sums).
 	counters []*obs.Counter
 	imb      *obs.Gauge
 	repart   *obs.Counter
@@ -141,9 +147,9 @@ func newLiveMetrics(reg *obs.Registry, p *comm.Proc, rec *obs.Recorder) *liveMet
 	for i, f := range rankStatFields {
 		switch f.Name {
 		case "virial":
-		case "steps":
+		case "steps", "list_rebuilds":
 			if lm.rank0 {
-				lm.counters[i] = reg.Counter("parmd.steps")
+				lm.counters[i] = reg.Counter("parmd." + f.Name)
 			}
 		default:
 			lm.counters[i] = reg.Counter("parmd." + f.Name)
@@ -398,11 +404,10 @@ func publishMetrics(reg *obs.Registry, res *Result) {
 	for _, s := range res.RankStats {
 		sum.Add(s)
 	}
-	sum.Steps = 0
+	sum.Steps, sum.ListRebuilds = 0, 0
 	for _, s := range res.RankStats {
-		if s.Steps > sum.Steps {
-			sum.Steps = s.Steps
-		}
+		sum.Steps = max(sum.Steps, s.Steps)
+		sum.ListRebuilds = max(sum.ListRebuilds, s.ListRebuilds)
 	}
 	sum.OwnedAtoms = 0
 	for _, s := range res.RankStats {

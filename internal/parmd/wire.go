@@ -5,14 +5,15 @@ import (
 	"sctuple/internal/geom"
 )
 
-// Shared wire codec for every parallel exchange. The three record
+// Shared wire codec for every parallel exchange. The four record
 // types below are the only payloads the simulation moves — halo
-// import, atom migration, and force write-back all encode through the
-// same put/get pairs, so there is exactly one wire format to keep in
-// sync (and one set of record sizes, exported for the performance
-// model's Eq. 31 byte accounting).
+// import (whole records on list rebuilds, positions between them),
+// atom migration, and force write-back all encode through the same
+// put/get pairs, so there is exactly one wire format to keep in sync
+// (and one set of record sizes, exported for the performance model's
+// Eq. 31 byte accounting).
 
-// Wire sizes in bytes of the three record types.
+// Wire sizes in bytes of the four record types.
 const (
 	// HaloAtomWireBytes is one imported halo atom:
 	// id + species + extended cell + local position.
@@ -22,6 +23,9 @@ const (
 	MigrantWireBytes = 8 + 4 + 3*8 + 3*8 // 60
 	// ForceWireBytes is one written-back force vector.
 	ForceWireBytes = 3 * 8 // 24
+	// HaloPositionWireBytes is one halo atom's local position, resent
+	// between list rebuilds for the import set of the last rebuild.
+	HaloPositionWireBytes = 3 * 8 // 24
 )
 
 // putHaloAtom appends one halo atom, already shifted into the
@@ -43,6 +47,13 @@ func getHaloAtom(rd *comm.Reader) (id int64, sp int32, ec geom.IVec3, lp geom.Ve
 	lp = rd.Vec3()
 	return id, sp, ec, lp
 }
+
+// putHaloPosition appends one halo atom's position, already shifted
+// into the receiver's frame.
+func putHaloPosition(b *comm.Buffer, lp geom.Vec3) { b.Vec3(lp) }
+
+// getHaloPosition decodes one halo atom's position.
+func getHaloPosition(rd *comm.Reader) geom.Vec3 { return rd.Vec3() }
 
 // putMigrant appends one migrating atom in wrapped global coordinates.
 func putMigrant(b *comm.Buffer, id int64, sp int32, gpos, vel geom.Vec3) {
