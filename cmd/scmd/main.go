@@ -70,7 +70,7 @@ func main() {
 		parityEv   = flag.Int("parity", 0, "SC-vs-FS tuple-parity probe every N steps (0 = off; expensive, implies -health); parallel runs only")
 		abortFail  = flag.Bool("abort-on-fail", false, "abort the run when a health probe fails")
 		postmortem = flag.String("postmortem", "", "on abort (rank failure, health fail, SIGINT/SIGTERM) write a postmortem bundle to this directory; parallel runs only")
-		faultSpec  = flag.String("fault", "", "inject a message fault: class[:N] corrupts traffic of that class (migrate, halo, force, health, balance, vote) after N clean messages; parallel runs only")
+		faultSpec  = flag.String("fault", "", "inject a message fault: class[:N] corrupts traffic of that class ("+strings.Join(parmd.TagClassNames(), ", ")+") after N clean messages, counted per worker process with -transport socket; parallel runs only")
 		modelCheck = flag.Bool("model-check", false, "calibrate the perfmodel in the background and flag steps drifting from its prediction; parallel runs only")
 		logFormat  = flag.String("log", "", "structured run log to stderr: text or json")
 		transport  = flag.String("transport", "chan", "parallel transport: chan (in-process goroutine ranks) or socket (one OS process per rank over a length-prefixed wire protocol)")
@@ -388,49 +388,12 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	scheme, err := schemeFor(engineName)
+	popt, err := parallelOptions(engineName, ranks, steps, dt, workers, tel, comm.NewChanTransport(ranks, 0))
 	if err != nil {
 		return err
 	}
-	cart := comm.NewCart(ranks)
 	fmt.Printf("engine %v on %d ranks (%v topology) × %d workers, dt %g fs, %d steps\n",
-		scheme, ranks, cart.Dims, workers, dt, steps)
-
-	popt := parmd.Options{
-		Scheme: scheme, Cart: cart, Dt: dt, Steps: steps, Workers: workers, TraceEnergies: true,
-		Log: tel.log, NoOverlap: tel.noOverlap,
-	}
-	if tel.fault != "" {
-		class, afterStr, hasAfter := strings.Cut(tel.fault, ":")
-		after := 0
-		if hasAfter {
-			n, err := strconv.Atoi(afterStr)
-			if err != nil || n < 0 {
-				return fmt.Errorf("-fault %q: count after %q must be a non-negative integer", tel.fault, class)
-			}
-			after = n
-		}
-		ft, err := parmd.NewFaultTransport(cart.Size(), class, after)
-		if err != nil {
-			return err
-		}
-		popt.Transport = ft
-		fmt.Printf("fault injection: corrupting %s traffic after %d clean messages\n", class, after)
-	}
-	if tel.balance {
-		popt.Balance = &parmd.Balancer{Every: tel.balanceEvery, Threshold: tel.balanceThreshold}
-	}
-	if tel.healthEvery > 0 || tel.parityEvery > 0 {
-		every := tel.healthEvery
-		if every <= 0 {
-			every = tel.parityEvery
-		}
-		hcfg := health.Config{Every: every, ParityEvery: tel.parityEvery, Logger: tel.log}
-		if tel.abortOnFail {
-			hcfg.OnFail = health.ActionRecord | health.ActionLog | health.ActionAbort
-		}
-		popt.Health = health.New(hcfg)
-	}
+		popt.Scheme, ranks, popt.Cart.Dims, workers, dt, steps)
 	if tel.trace != "" {
 		// ~16 spans per step per rank; keep the whole run in the rings.
 		popt.Recorder = obs.NewRecorder(ranks, 16*(steps+2))
@@ -502,7 +465,7 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 			if err != nil {
 				return
 			}
-			p := m.PredictStep(scheme, float64(cfg.N())/float64(ranks))
+			p := m.PredictStep(popt.Scheme, float64(cfg.N())/float64(ranks))
 			fl.SetPrediction(flight.Prediction{
 				ComputeNs: p.ComputeNs, CommNs: p.CommNs, TotalNs: p.TotalNs,
 			})
@@ -569,25 +532,8 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 		}
 		return err
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("%8s %14s %14s %14s\n", "step", "PE (eV)", "KE (eV)", "E total (eV)")
-	for s := 0; s < len(res.Energies); s += max(1, every) {
-		e := res.Energies[s]
-		fmt.Printf("%8d %14.4f %14.4f %14.4f\n", s+1, e.Potential, e.Kinetic, e.Total())
-	}
+	printRun(res, time.Since(start), steps, every, "")
 	maxRank := res.MaxRank()
-	fmt.Printf("\n%.2f ms/step wall; comm %d messages, %.2f MB total\n",
-		elapsed.Seconds()*1e3/float64(max(1, steps)),
-		res.Comm.Messages, float64(res.Comm.Bytes)/1e6)
-	fmt.Println("comm by traffic class (from the runtime's per-tag counters):")
-	for _, class := range []string{"halo", "force", "migrate", "vote", "collective"} {
-		s := res.CommByClass[class]
-		if s.Messages == 0 {
-			continue
-		}
-		fmt.Printf("  %-10s %8d msgs  %10.3f MB  %8.1f ms recv wait\n",
-			class, s.Messages, float64(s.Bytes)/1e6, s.Wait.Seconds()*1e3)
-	}
 	fmt.Printf("max rank: %d owned atoms, %d halo atoms imported, %d search candidates\n",
 		maxRank.OwnedAtoms, maxRank.AtomsImported, maxRank.SearchCandidates)
 	fmt.Printf("tuple lists rebuilt %d times over %d force evaluations (skin %.3f Å from the cell lattice)\n",
@@ -644,4 +590,81 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 		fmt.Printf("telemetry records written to %s\n", tel.metrics)
 	}
 	return dumpForcesFile(dumpForces, res)
+}
+
+// faultTap wraps tr in the -fault tap named by spec, class[:N]: it
+// corrupts the class's traffic sent through tr after N clean messages.
+func faultTap(spec string, tr comm.Transport) (comm.Transport, error) {
+	class, afterStr, hasAfter := strings.Cut(spec, ":")
+	after := 0
+	if hasAfter {
+		n, err := strconv.Atoi(afterStr)
+		if err != nil || n < 0 {
+			return nil, fmt.Errorf("-fault %q: count after %q must be a non-negative integer", spec, class)
+		}
+		after = n
+	}
+	ft, err := parmd.FaultTap(tr, class, after)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("fault injection: corrupting %s traffic after %d clean messages\n", class, after)
+	return ft, nil
+}
+
+// parallelOptions assembles the parmd options the in-process run and
+// the socket workers share: scheme, topology, step, workers, balancer
+// and health probes, over tr wrapped in the -fault tap when one is
+// asked for.
+func parallelOptions(engineName string, ranks, steps int, dt float64, workers int, tel telemetryOpts, tr comm.Transport) (parmd.Options, error) {
+	scheme, err := schemeFor(engineName)
+	if err != nil {
+		return parmd.Options{}, err
+	}
+	popt := parmd.Options{
+		Scheme: scheme, Cart: comm.NewCart(ranks), Dt: dt, Steps: steps, Workers: workers,
+		TraceEnergies: true, Log: tel.log, NoOverlap: tel.noOverlap, Transport: tr,
+	}
+	if tel.fault != "" {
+		if popt.Transport, err = faultTap(tel.fault, tr); err != nil {
+			return popt, err
+		}
+	}
+	if tel.balance {
+		popt.Balance = &parmd.Balancer{Every: tel.balanceEvery, Threshold: tel.balanceThreshold}
+	}
+	if tel.healthEvery > 0 || tel.parityEvery > 0 {
+		every := tel.healthEvery
+		if every <= 0 {
+			every = tel.parityEvery
+		}
+		hcfg := health.Config{Every: every, ParityEvery: tel.parityEvery, Logger: tel.log}
+		if tel.abortOnFail {
+			hcfg.OnFail = health.ActionRecord | health.ActionLog | health.ActionAbort
+		}
+		popt.Health = health.New(hcfg)
+	}
+	return popt, nil
+}
+
+// printRun prints a parallel run's sampled energies, its wall time and
+// its traffic by class; note qualifies the traffic total.
+func printRun(res *parmd.Result, elapsed time.Duration, steps, every int, note string) {
+	fmt.Printf("%8s %14s %14s %14s\n", "step", "PE (eV)", "KE (eV)", "E total (eV)")
+	for s := 0; s < len(res.Energies); s += max(1, every) {
+		e := res.Energies[s]
+		fmt.Printf("%8d %14.4f %14.4f %14.4f\n", s+1, e.Potential, e.Kinetic, e.Total())
+	}
+	fmt.Printf("\n%.2f ms/step wall; comm %d messages, %.2f MB total%s\n",
+		elapsed.Seconds()*1e3/float64(max(1, steps)),
+		res.Comm.Messages, float64(res.Comm.Bytes)/1e6, note)
+	fmt.Println("comm by traffic class (from the runtime's per-tag counters):")
+	for _, class := range []string{"halo", "force", "migrate", "vote", "collective"} {
+		s := res.CommByClass[class]
+		if s.Messages == 0 {
+			continue
+		}
+		fmt.Printf("  %-10s %8d msgs  %10.3f MB  %8.1f ms recv wait\n",
+			class, s.Messages, float64(s.Bytes)/1e6, s.Wait.Seconds()*1e3)
+	}
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"sctuple/internal/comm"
-	"sctuple/internal/obs/health"
 	"sctuple/internal/parmd"
 	"sctuple/internal/potential"
 	"sctuple/internal/workload"
@@ -52,9 +51,8 @@ func runSocketMode(cfg *workload.Config, model *potential.Model, engineName stri
 	// (shared recorders, one registry, one flight ring); wiring them
 	// across processes is future work, so reject rather than silently
 	// record one rank's view.
-	if tel.serve != "" || tel.postmortem != "" || tel.fault != "" ||
-		tel.trace != "" || tel.metrics != "" || tel.modelCheck {
-		return fmt.Errorf("-serve, -postmortem, -fault, -trace, -metrics, and -model-check require -transport chan (single-process observability)")
+	if tel.serve != "" || tel.postmortem != "" || tel.trace != "" || tel.metrics != "" || tel.modelCheck {
+		return fmt.Errorf("-serve, -postmortem, -trace, -metrics, and -model-check require -transport chan (single-process observability)")
 	}
 	if sock.workerRank >= 0 {
 		return runSocketWorker(cfg, model, engineName, steps, dt, ranks, every, workers, tel, sock)
@@ -159,23 +157,6 @@ func runSocketLauncher(ranks int, sock socketOpts) error {
 	return nil
 }
 
-// exitTransport is the -kill-rank fault drill: the worker dies with a
-// hard exit (no close, no flush — exactly what a crashed or OOM-killed
-// process looks like to its peers) when the step loop reaches killStep.
-type exitTransport struct {
-	*comm.SocketTransport
-	killStep int
-}
-
-func (e *exitTransport) MarkStep(step int) {
-	if step >= e.killStep {
-		fmt.Fprintf(os.Stderr, "scmd: kill drill: rank %d exiting hard at step %d\n",
-			e.SocketTransport.Rank(), step)
-		os.Exit(3)
-	}
-	e.SocketTransport.MarkStep(step)
-}
-
 // runSocketWorker runs one rank of the fleet: dial the fabric, run the
 // simulation with a Worker-mode parmd, and (on rank 0) report the
 // gathered result.
@@ -188,11 +169,6 @@ func runSocketWorker(cfg *workload.Config, model *potential.Model, engineName st
 	if err != nil {
 		return fmt.Errorf("-socket-token: %w", err)
 	}
-	scheme, err := schemeFor(engineName)
-	if err != nil {
-		return err
-	}
-	cart := comm.NewCart(ranks)
 	tr, err := comm.DialSocket(comm.SocketConfig{
 		Network:    sock.network,
 		Rendezvous: sock.rendezvous,
@@ -206,29 +182,22 @@ func runSocketWorker(cfg *workload.Config, model *potential.Model, engineName st
 		return fmt.Errorf("rank %d: dial fabric: %w", rank, err)
 	}
 	defer tr.Close()
-	var transport comm.Transport = tr
+	popt, err := parallelOptions(engineName, ranks, steps, dt, workers, tel, tr)
+	if err != nil {
+		return err
+	}
+	popt.Worker = &parmd.WorkerRank{Rank: rank}
 	if sock.killRank == rank {
-		transport = &exitTransport{SocketTransport: tr, killStep: sock.killStep}
-	}
-
-	popt := parmd.Options{
-		Scheme: scheme, Cart: cart, Dt: dt, Steps: steps, Workers: workers,
-		TraceEnergies: true, Log: tel.log, NoOverlap: tel.noOverlap,
-		Transport: transport, Worker: &parmd.WorkerRank{Rank: rank},
-	}
-	if tel.balance {
-		popt.Balance = &parmd.Balancer{Every: tel.balanceEvery, Threshold: tel.balanceThreshold}
-	}
-	if tel.healthEvery > 0 || tel.parityEvery > 0 {
-		hevery := tel.healthEvery
-		if hevery <= 0 {
-			hevery = tel.parityEvery
-		}
-		hcfg := health.Config{Every: hevery, ParityEvery: tel.parityEvery, Logger: tel.log}
-		if tel.abortOnFail {
-			hcfg.OnFail = health.ActionRecord | health.ActionLog | health.ActionAbort
-		}
-		popt.Health = health.New(hcfg)
+		// The -kill-rank fault drill: the worker dies with a hard exit
+		// (no close, no flush — exactly what a crashed or OOM-killed
+		// process looks like to its peers) when the step loop reaches
+		// killStep.
+		popt.Transport = &comm.Tap{Transport: popt.Transport, OnStep: func(step int) {
+			if step >= sock.killStep {
+				fmt.Fprintf(os.Stderr, "scmd: kill drill: rank %d exiting hard at step %d\n", rank, step)
+				os.Exit(3)
+			}
+		}}
 	}
 
 	start := time.Now()
@@ -239,23 +208,7 @@ func runSocketWorker(cfg *workload.Config, model *potential.Model, engineName st
 	if rank != 0 {
 		return nil
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("%8s %14s %14s %14s\n", "step", "PE (eV)", "KE (eV)", "E total (eV)")
-	for s := 0; s < len(res.Energies); s += max(1, every) {
-		e := res.Energies[s]
-		fmt.Printf("%8d %14.4f %14.4f %14.4f\n", s+1, e.Potential, e.Kinetic, e.Total())
-	}
-	fmt.Printf("\n%.2f ms/step wall; comm %d messages, %.2f MB total (gathered over the wire)\n",
-		elapsed.Seconds()*1e3/float64(max(1, steps)),
-		res.Comm.Messages, float64(res.Comm.Bytes)/1e6)
-	for _, class := range []string{"halo", "force", "migrate", "collective"} {
-		s := res.CommByClass[class]
-		if s.Messages == 0 {
-			continue
-		}
-		fmt.Printf("  %-10s %8d msgs  %10.3f MB  %8.1f ms recv wait\n",
-			class, s.Messages, float64(s.Bytes)/1e6, s.Wait.Seconds()*1e3)
-	}
+	printRun(res, time.Since(start), steps, every, " (gathered over the wire)")
 	if popt.Health != nil {
 		if res.Health.Healthy() {
 			fmt.Println("health probes: all ok")

@@ -115,8 +115,8 @@ func TestValidateAgreesWithModel(t *testing.T) {
 // must hide the halo-import latency the synchronous baseline Validate
 // runs alongside it pays — the point of posting the halo before the
 // interior stage. In-process channels deliver in nanoseconds, so both
-// runs go over a comm.LatencyTransport: every cross-rank message
-// arrives a fixed latency after its send. Without overlap, each
+// runs go over the channel transport with a wire delay: every
+// cross-rank message arrives a fixed latency after its send. Without overlap, each
 // evaluation's halo receives wait about that latency per task; with
 // it, the interior stage covers it. The world is 2 ranks (one per CPU
 // of a small host) on 24,000 atoms, big enough that every scheme has

@@ -153,8 +153,8 @@ func Validate(nAtoms int, ranks []int, steps int, seed int64) ([]ValidateRow, er
 // (scheme, rank-count) run's recorder is added as one named process,
 // so the whole validation sweep exports as a single timeline file —
 // and an optional wire latency: when positive, both the overlapped run
-// and its synchronous baseline exchange messages over a
-// comm.LatencyTransport with that delay.
+// and its synchronous baseline exchange messages over the channel
+// transport with that wire delay.
 func validateInto(mt *obs.MultiTrace, nAtoms int, ranks []int, steps int, seed int64, latency time.Duration) ([]ValidateRow, error) {
 	model := potential.NewSilicaModel()
 	cfg := workload.BetaCristobalite(cube(nAtoms / 24))
@@ -253,14 +253,12 @@ func validateInto(mt *obs.MultiTrace, nAtoms int, ranks []int, steps int, seed i
 	return out, nil
 }
 
-// runLatency is parmd.Run over a comm.LatencyTransport with the given
-// delay, or over the default channel transport when it is zero.
+// runLatency is parmd.Run over the channel transport with the given
+// wire delay (0: the default transport).
 func runLatency(cfg *workload.Config, model *potential.Model, latency time.Duration, opt parmd.Options) (*parmd.Result, error) {
-	if latency > 0 {
-		tr := comm.NewLatencyTransport(opt.Cart.Size(), latency)
-		defer tr.Close()
-		opt.Transport = tr
-	}
+	tr := comm.NewChanTransport(opt.Cart.Size(), latency)
+	defer tr.Close()
+	opt.Transport = tr
 	return parmd.Run(cfg, model, opt)
 }
 

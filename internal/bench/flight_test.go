@@ -39,7 +39,7 @@ func haloRate(t *testing.T, ranks int) (setup, perStep int64) {
 	t.Helper()
 	count := func(steps int) int64 {
 		cfg, model := spikeWorkload()
-		dt, err := parmd.NewDelayTransport(ranks, "halo", 0, 0, 0)
+		dt, matched, err := parmd.DelayTap(comm.NewChanTransport(ranks, 0), "halo", 0, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func haloRate(t *testing.T, ranks int) (setup, perStep int64) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		return dt.Matched()
+		return matched()
 	}
 	a, b := count(4), count(8)
 	perStep = (b - a) / 4
@@ -76,7 +76,7 @@ func TestFlightSpikeEndToEnd(t *testing.T) {
 	cfg, model := spikeWorkload()
 	// Stall one step's worth of halo sends at spikeStep, well past the
 	// wall detector's warmup.
-	dt, err := parmd.NewDelayTransport(ranks, "halo",
+	dt, _, err := parmd.DelayTap(comm.NewChanTransport(ranks, 0), "halo",
 		int(setup+int64(spikeStep)*perStep), int(perStep), 25*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)

@@ -94,32 +94,43 @@ func TestAsyncExchangeZeroAllocs(t *testing.T) {
 	}
 }
 
+// chanDelays are the two shapes of the channel transport the abort
+// contract tests run over: immediate delivery, whose sends and
+// receives take the fast path first, and a wire delay, whose sends go
+// through the in-flight queue and its own abort select.
+var chanDelays = []time.Duration{0, time.Millisecond}
+
 // TestAbortUnblocksReceive: when one rank's SPMD function fails, a
 // peer blocked in a receive on a message that will never arrive
 // unwinds with ErrAborted instead of deadlocking the world.
 func TestAbortUnblocksReceive(t *testing.T) {
-	w := NewWorld(3)
-	err := w.Run(func(p *Proc) error {
-		switch p.Rank() {
-		case 0:
-			return fmt.Errorf("boom")
-		case 1:
-			p.RecvBuffer(0, 9) // never sent: must unwind via abort
-			return fmt.Errorf("receive from a failed rank returned")
-		default:
-			h := p.IRecvBuffer(0, 9)
-			h.Wait() // posted form of the same dead wait
-			return fmt.Errorf("posted receive from a failed rank completed")
-		}
-	})
-	if err == nil {
-		t.Fatal("world with a failed rank returned nil")
-	}
-	if !errors.Is(err, ErrAborted) {
-		t.Errorf("joined error does not carry ErrAborted: %v", err)
-	}
-	if want := "boom"; !strings.Contains(err.Error(), want) {
-		t.Errorf("joined error lost the original failure %q: %v", want, err)
+	for _, delay := range chanDelays {
+		t.Run(fmt.Sprintf("delay=%v", delay), func(t *testing.T) {
+			tr := NewChanTransport(3, delay)
+			defer tr.Close()
+			err := NewWorldTransport(3, tr).Run(func(p *Proc) error {
+				switch p.Rank() {
+				case 0:
+					return fmt.Errorf("boom")
+				case 1:
+					p.RecvBuffer(0, 9) // never sent: must unwind via abort
+					return fmt.Errorf("receive from a failed rank returned")
+				default:
+					h := p.IRecvBuffer(0, 9)
+					h.Wait() // posted form of the same dead wait
+					return fmt.Errorf("posted receive from a failed rank completed")
+				}
+			})
+			if err == nil {
+				t.Fatal("world with a failed rank returned nil")
+			}
+			if !errors.Is(err, ErrAborted) {
+				t.Errorf("joined error does not carry ErrAborted: %v", err)
+			}
+			if want := "boom"; !strings.Contains(err.Error(), want) {
+				t.Errorf("joined error lost the original failure %q: %v", want, err)
+			}
+		})
 	}
 }
 

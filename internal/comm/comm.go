@@ -84,7 +84,7 @@ func (w *World) SetLogger(l *obs.Logger) { w.log = l }
 // NewWorld builds a world of p ranks over the in-process channel
 // transport. It panics for p < 1 (worlds come from code, not input).
 func NewWorld(p int) *World {
-	return NewWorldTransport(p, NewChanTransport(p))
+	return NewWorldTransport(p, NewChanTransport(p, 0))
 }
 
 // NewWorldTransport builds a world of p ranks over an explicit
@@ -104,12 +104,7 @@ func NewWorldTransport(p int, tr Transport) *World {
 		abortCh: make(chan struct{}),
 	}
 	w.growCounters()
-	if a, ok := tr.(AbortAware); ok {
-		a.SetAbort(w.abortCh)
-	}
-	if f, ok := tr.(Fabric); ok {
-		f.OnFail(w.failFabric)
-	}
+	tr.Attach(w.abortCh, w.recordFailure)
 	return w
 }
 
@@ -237,37 +232,29 @@ func AbortError(v any) error {
 }
 
 // abort marks the world failed and unblocks every receive and send
-// selecting on the abort channel. Idempotent. A fabric-backed world
-// also closes the fabric so remote peers observe the failure (as EOF
+// selecting on the abort channel. Idempotent. It also closes the
+// transport, so over a fabric remote peers observe the failure (as EOF
 // on their links) and abort in turn — without this, killing one worker
 // process would leave every other process blocked forever.
 func (w *World) abort() {
 	w.abortOnce.Do(func() {
 		close(w.abortCh)
-		if f, ok := w.tr.(Fabric); ok {
-			// Off the critical path: Close may be called from a fabric
-			// reader goroutine via OnFail → failFabric → abort, and
-			// must not deadlock against the fabric's own locks.
-			go f.Close()
-		}
+		// Off the critical path: Close may be called from a fabric
+		// reader goroutine via fail → recordFailure → abort, and must not
+		// deadlock against the fabric's own locks.
+		go w.tr.Close()
 	})
 }
 
-// failFabric records the first fabric failure and aborts the world.
-// Registered as the Fabric.OnFail callback at construction.
-func (w *World) failFabric(err error) {
+// recordFailure records the first fabric failure and aborts the world.
+// Handed to the transport as its fail callback at construction.
+func (w *World) recordFailure(err error) {
 	w.fabricMu.Lock()
 	if w.fabricErr == nil {
 		w.fabricErr = err
 	}
 	w.fabricMu.Unlock()
 	w.abort()
-}
-
-func (w *World) fabricError() error {
-	w.fabricMu.Lock()
-	defer w.fabricMu.Unlock()
-	return w.fabricErr
 }
 
 // abortCause builds the error an abort-unblocked rank unwinds with:
@@ -277,17 +264,19 @@ func (w *World) fabricError() error {
 // ErrAborted). Safe to call after abortCh is closed — the fabric error
 // is written before the close.
 func (w *World) abortCause() error {
-	if fe := w.fabricError(); fe != nil {
-		return fmt.Errorf("%w (fabric: %v)", ErrAborted, fe)
+	w.fabricMu.Lock()
+	defer w.fabricMu.Unlock()
+	if w.fabricErr != nil {
+		return fmt.Errorf("%w (fabric: %v)", ErrAborted, w.fabricErr)
 	}
 	return nil
 }
 
 // Run executes fn once per rank, each on its own goroutine, and waits
 // for all of them. When a rank's fn returns an error the world aborts:
-// peers blocked in receives unwind with ErrAborted (over an
-// AsyncTransport; a plain Transport cannot be interrupted) rather than
-// deadlocking the whole world on a protocol that lost a participant.
+// peers blocked in receives or full-link sends unwind with ErrAborted
+// rather than deadlocking the whole world on a protocol that lost a
+// participant.
 // Run reports each failing rank through the world's logger and returns
 // every rank's error joined (nil when all ranks succeeded).
 func (w *World) Run(fn func(p *Proc) error) error {
@@ -420,6 +409,10 @@ func (p *Proc) Size() int { return p.world.size }
 // per-rank view telemetry emitters read between steps.
 func (p *Proc) Stats() Stats { return p.world.RankStats(p.rank) }
 
+// MarkStep tells the world's transport the simulation step this rank
+// is entering (see Transport.MarkStep).
+func (p *Proc) MarkStep(step int) { p.world.tr.MarkStep(step) }
+
 // ClassStats returns this rank's counters for one tag class.
 func (p *Proc) ClassStats(name string) Stats {
 	return p.world.RankClassStats(p.rank, name)
@@ -465,7 +458,7 @@ func (p *Proc) ClassCount() int { return p.world.ClassCount() }
 // invalid-rank operations flow through the same *RankError abort path
 // as any other rank failure instead of panicking the process.
 func (p *Proc) fail(err error) {
-	p.world.failFabric(err)
+	p.world.recordFailure(err)
 	panic(abortSignal{rank: p.rank, err: err})
 }
 
@@ -516,17 +509,13 @@ func (p *Proc) SendBuffer(dst, tag int, b *Buffer) {
 }
 
 // recvMessage blocks until the next message on the (src → this rank)
-// link arrives. Over an AsyncTransport it selects on the world's abort
-// channel as well, so a rank stuck waiting on a failed peer unwinds
-// (via the abort sentinel, converted to ErrAborted in Run) instead of
-// deadlocking. The fast path — message already delivered — takes no
-// select at all and allocates nothing.
+// link arrives. It selects on the world's abort channel as well, so a
+// rank stuck waiting on a failed peer unwinds (via the abort sentinel,
+// converted to ErrAborted in Run) instead of deadlocking. The fast
+// path — message already delivered — takes no blocking select and
+// allocates nothing.
 func (p *Proc) recvMessage(src int) Message {
-	at, ok := p.world.tr.(AsyncTransport)
-	if !ok {
-		return p.world.tr.Recv(p.rank, src)
-	}
-	ch := at.RecvChan(p.rank, src)
+	ch := p.world.tr.RecvChan(p.rank, src)
 	select {
 	case m := <-ch:
 		return m

@@ -170,23 +170,29 @@ func TestTagMismatchAborts(t *testing.T) {
 // forever — the sender-side half of the abort protocol (receivers
 // have always selected on the abort channel).
 func TestAbortUnblocksBlockedSend(t *testing.T) {
-	w := NewWorld(2)
-	err := w.Run(func(pr *Proc) error {
-		if pr.Rank() == 1 {
-			return fmt.Errorf("boom") // never receives anything
-		}
-		// Far more than the link buffer holds: without the abort
-		// select this blocks forever once the channel fills.
-		for i := 0; i < 10*linkBuffer; i++ {
-			pr.Send(1, 1, nil)
-		}
-		return nil
-	})
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted in chain", err)
-	}
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("original failure lost: %v", err)
+	for _, delay := range chanDelays {
+		t.Run(fmt.Sprintf("delay=%v", delay), func(t *testing.T) {
+			tr := NewChanTransport(2, delay)
+			defer tr.Close()
+			err := NewWorldTransport(2, tr).Run(func(pr *Proc) error {
+				if pr.Rank() == 1 {
+					return fmt.Errorf("boom") // never receives anything
+				}
+				// Far more than the link buffers hold (the in-flight
+				// queue included): without the abort select this blocks
+				// forever once the channels fill.
+				for i := 0; i < 10*linkBuffer; i++ {
+					pr.Send(1, 1, nil)
+				}
+				return nil
+			})
+			if !errors.Is(err, ErrAborted) {
+				t.Fatalf("err = %v, want ErrAborted in chain", err)
+			}
+			if err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Errorf("original failure lost: %v", err)
+			}
+		})
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 // so forces are bit-identical across transports by construction.
 //
 // Failure mapping: a malformed frame or I/O error fails the fabric
-// (OnFail → World abort); a clean EOF poisons only that link, so ranks
+// (Attach's fail → World abort); a clean EOF poisons only that link, so ranks
 // that still wait on the dead peer unwind with ErrAborted while peers
 // that already finished can close their ends without killing the
 // world mid-shutdown. Closing the fabric (which World.abort does)
@@ -49,7 +49,7 @@ type SocketTransport struct {
 
 	failMu  sync.Mutex
 	failErr error
-	onFail  []func(error)
+	onFail  func(error) // from Attach, before any reader starts
 
 	step atomic.Int32
 	log  *obs.Logger
@@ -111,9 +111,9 @@ func NewSessionToken() uint64 {
 // the listen address with the rendezvous server, receive the full
 // address map, build the connection mesh (dialing every lower rank
 // with retry/backoff, accepting every higher one, validating the
-// handshake on each link), and start the per-connection readers. It
-// returns only when every link is up, or with an error when any part
-// of setup fails within the deadline.
+// handshake on each link). It returns only when every link is up, or
+// with an error when any part of setup fails within the deadline. The
+// per-connection readers start when a World attaches the transport.
 func DialSocket(cfg SocketConfig) (*SocketTransport, error) {
 	if cfg.Size < 1 || cfg.Rank < 0 || cfg.Rank >= cfg.Size {
 		return nil, fmt.Errorf("comm: socket rank %d outside world of size %d", cfg.Rank, cfg.Size)
@@ -194,12 +194,6 @@ func DialSocket(cfg SocketConfig) (*SocketTransport, error) {
 	}
 	// The mesh is complete and fixed; no more connections can join.
 	ln.Close()
-
-	for peer, l := range t.links {
-		if l != nil {
-			go t.serveConn(peer, l.conn)
-		}
-	}
 	return t, nil
 }
 
@@ -372,25 +366,22 @@ func (t *SocketTransport) linkDown(peer int, reason string) {
 	}
 }
 
-// fail records the first fabric failure and notifies the registered
-// callbacks (the World's abort). Failures after an explicit Close are
+// fail records the first fabric failure and notifies the attached
+// callback (the World's abort). Failures after an explicit Close are
 // expected teardown noise and are dropped.
 func (t *SocketTransport) fail(err error) {
 	if t.closed.Load() {
 		return
 	}
 	t.failMu.Lock()
-	if t.failErr != nil {
-		t.failMu.Unlock()
-		return
+	first := t.failErr == nil
+	if first {
+		t.failErr = err
 	}
-	t.failErr = err
-	cbs := t.onFail
-	t.onFail = nil
 	t.failMu.Unlock()
-	t.log.Error("socket fabric failure", "rank", t.rank, "err", err)
-	for _, cb := range cbs {
-		cb(err)
+	if first {
+		t.log.Error("socket fabric failure", "rank", t.rank, "err", err)
+		t.onFail(err)
 	}
 }
 
@@ -405,20 +396,20 @@ func (t *SocketTransport) error() error {
 	return ErrAborted
 }
 
-// OnFail implements Fabric. A callback registered after the fabric has
-// already failed fires immediately.
-func (t *SocketTransport) OnFail(f func(error)) {
-	t.failMu.Lock()
-	if err := t.failErr; err != nil {
-		t.failMu.Unlock()
-		f(err)
-		return
+// Attach implements Transport: it keeps the fail callback and starts
+// the per-connection readers, so no fabric failure can precede it. The
+// abort channel is not kept: the World closes the fabric when it
+// aborts, which already unblocks every send.
+func (t *SocketTransport) Attach(_ <-chan struct{}, fail func(error)) {
+	t.onFail = fail
+	for peer, l := range t.links {
+		if l != nil {
+			go t.serveConn(peer, l.conn)
+		}
 	}
-	t.onFail = append(t.onFail, f)
-	t.failMu.Unlock()
 }
 
-// Close implements Fabric: tear every connection down. Idempotent.
+// Close implements Transport: tear every connection down. Idempotent.
 // Remote peers observe the close as EOF on their side of each link.
 func (t *SocketTransport) Close() error {
 	t.closeOnce.Do(func() {
@@ -433,12 +424,9 @@ func (t *SocketTransport) Close() error {
 	return nil
 }
 
-// MarkStep implements StepMarker: subsequent frames carry this step in
+// MarkStep implements Transport: subsequent frames carry this step in
 // their headers.
 func (t *SocketTransport) MarkStep(step int) { t.step.Store(int32(step)) }
-
-// Rank returns the local rank this transport serves.
-func (t *SocketTransport) Rank() int { return t.rank }
 
 func (t *SocketTransport) getBuf() *Buffer {
 	t.poolMu.Lock()
@@ -499,18 +487,7 @@ func (t *SocketTransport) Send(src, dst int, m Message) {
 	t.putBuf(m.Buf)
 }
 
-// Recv implements Transport (the blocking fallback; the World's
-// receive path uses RecvChan and its abort select instead).
-func (t *SocketTransport) Recv(dst, src int) Message {
-	select {
-	case m := <-t.inbox[src]:
-		return m
-	case <-t.closeCh:
-		panic(abortSignal{rank: dst, src: src, err: t.error()})
-	}
-}
-
-// RecvChan implements AsyncTransport: the inbox of one source rank.
+// RecvChan implements Transport: the inbox of one source rank.
 func (t *SocketTransport) RecvChan(dst, src int) <-chan Message {
 	return t.inbox[src]
 }

@@ -230,8 +230,8 @@ func TestSocketTokenMismatch(t *testing.T) {
 }
 
 // TestServeConnBadFrame: garbage on an established link (bad magic)
-// fails the fabric with a typed *FrameError through OnFail — the
-// callback the World turns into a clean abort.
+// fails the fabric with a typed *FrameError through the fail callback
+// from Attach — the one the World turns into a clean abort.
 func TestServeConnBadFrame(t *testing.T) {
 	local, remote := net.Pipe()
 	defer remote.Close()
@@ -242,7 +242,7 @@ func TestServeConnBadFrame(t *testing.T) {
 		closeCh: make(chan struct{}),
 	}
 	failed := make(chan error, 1)
-	tr.OnFail(func(err error) { failed <- err })
+	tr.Attach(nil, func(err error) { failed <- err })
 	go tr.serveConn(1, local)
 	garbage := make([]byte, frameHeaderBytes)
 	copy(garbage, "not a frame, definitely")

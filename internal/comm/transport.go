@@ -1,5 +1,10 @@
 package comm
 
+import (
+	"sync"
+	"time"
+)
+
 // Message is one point-to-point transfer moving through a Transport.
 // The payload travels as a *Buffer so pooled buffers can be handed off
 // sender → transport → receiver and recycled without copying.
@@ -26,69 +31,74 @@ const tagLinkDown = -1 << 30
 // link in FIFO order.
 //
 // Send hands the message off; the sender must not touch m.Buf again
-// until it comes back through a pool. Recv blocks until the next
-// message on the (src → dst) link is available.
+// until it comes back through a pool. A send that cannot complete
+// once the world has aborted unwinds with the abort sentinel.
+//
+// RecvChan exposes the delivery channel of one (src → dst) link; the
+// World selects on it together with its abort signal, so a blocked
+// receive unwinds instead of deadlocking on a failed peer.
+//
+// Attach is called once, by the World at construction, with the
+// world's abort channel and its failure callback: the transport
+// selects on abort wherever a send can block, and reports an
+// asynchronous fabric failure (peer disconnect, malformed frame, I/O
+// error) through fail, which aborts every local rank.
+//
+// MarkStep receives the simulation step each local rank is entering
+// (the socket transport stamps it into every frame header so captures
+// of a broken stream carry the step they broke at).
+//
+// Close releases the transport's goroutines and connections. The World
+// calls it when it aborts, so remote peers observe the failure as EOF
+// and abort their own worlds in turn: that chain is how a killed
+// worker unwinds all survivors. Close is idempotent and safe to call
+// concurrently with operations, which then fail.
 type Transport interface {
 	Send(src, dst int, m Message)
-	Recv(dst, src int) Message
-}
-
-// AsyncTransport is the optional extension a Transport can implement
-// to support the non-blocking receive API (Proc.IRecvBuffer) and the
-// world's abort protocol. RecvChan exposes the delivery channel of one
-// (src → dst) link so a receiver can select on it together with the
-// abort signal instead of blocking unconditionally in Recv. Transports
-// without this extension still work — receives fall back to the
-// blocking Recv and cannot be interrupted by an abort.
-type AsyncTransport interface {
-	Transport
 	RecvChan(dst, src int) <-chan Message
-}
-
-// AbortAware is the optional extension a Transport can implement to
-// make blocked sends interruptible. The World injects its abort
-// channel at construction; a send that would otherwise block forever
-// on a full link after the receiver has failed selects on the channel
-// and unwinds with the abort sentinel instead (converted to ErrAborted
-// by Run's recover), closing the sender-side half of the abort
-// protocol — receivers have always selected on abortCh in recvMessage.
-type AbortAware interface {
-	SetAbort(<-chan struct{})
-}
-
-// StepMarker is the optional extension a transport can implement to
-// receive the simulation step counter. The socket transport stamps it
-// into every frame header so captures of a broken stream carry the
-// step they broke at; the step loop calls MarkStep when the configured
-// transport implements it.
-type StepMarker interface {
+	Attach(abort <-chan struct{}, fail func(error))
 	MarkStep(step int)
-}
-
-// Fabric is a transport backed by external resources — connections,
-// file descriptors, reader goroutines — that can fail asynchronously
-// and must be torn down explicitly. The World registers OnFail so a
-// fabric failure (peer disconnect, malformed frame, I/O error) aborts
-// every local rank, and closes the fabric when it aborts so remote
-// peers observe the failure as EOF and abort their own worlds in turn:
-// that chain is how a killed worker unwinds all survivors.
-type Fabric interface {
-	AsyncTransport
-	// OnFail registers a callback invoked once with the first fabric
-	// error; if the fabric has already failed the callback fires
-	// immediately.
-	OnFail(func(error))
-	// Close tears the fabric down. Idempotent; safe to call
-	// concurrently with operations, which then fail.
 	Close() error
 }
 
-// chanTransport is the default in-process Transport: ranks are
-// goroutines and every (src, dst) link is a buffered channel with
-// strict FIFO ordering, the stand-in for MPI on the paper's clusters.
+var (
+	_ Transport = (*chanTransport)(nil)
+	_ Transport = (*SocketTransport)(nil)
+	_ Transport = (*Tap)(nil)
+)
+
+// chanTransport is the in-process Transport: ranks are goroutines and
+// every (src, dst) link is a buffered channel with strict FIFO
+// ordering, the stand-in for MPI on the paper's clusters.
+//
+// With a positive wire delay, a message between two different ranks
+// becomes receivable delay after it was sent, while the send itself
+// returns at once — the sender is free to compute while the message is
+// in flight, as on a network. A rank's messages to itself arrive
+// immediately. It is the A/B rig for communication/computation
+// overlap: in-process channels deliver in nanoseconds, so without a
+// delay a receive's wait measures only how far the ranks drifted
+// apart, which overlap cannot hide. One delivery goroutine per
+// cross-rank link keeps every link FIFO; Close stops them once the
+// world is done. At delay 0 no goroutine is started and Close is a
+// no-op.
 type chanTransport struct {
-	links [][]chan Message // links[src][dst]
-	abort <-chan struct{}  // nil until SetAbort (worlds inject theirs)
+	links [][]chan Message // links[src][dst]: the receivable messages
+	abort <-chan struct{}  // the world's, from Attach
+
+	delay time.Duration
+	// wire[src][dst] holds a cross-rank link's messages in flight (nil
+	// channels at delay 0 and for src == dst).
+	wire [][]chan timedMessage
+	done chan struct{}
+	once sync.Once
+	wg   sync.WaitGroup
+}
+
+// timedMessage is a message in flight with its arrival time.
+type timedMessage struct {
+	due time.Time
+	m   Message
 }
 
 // linkBuffer is the per-(src,dst) channel capacity. Halo exchange,
@@ -97,33 +107,71 @@ type chanTransport struct {
 // ordering within a step.
 const linkBuffer = 128
 
-// NewChanTransport builds the default in-process channel transport for
-// p ranks.
-func NewChanTransport(p int) Transport {
-	t := &chanTransport{links: make([][]chan Message, p)}
+// NewChanTransport builds the in-process channel transport for p ranks
+// with the given wire delay between different ranks (0: deliver at
+// once, the default of NewWorld).
+func NewChanTransport(p int, delay time.Duration) Transport {
+	t := &chanTransport{delay: delay, done: make(chan struct{})}
+	t.links, t.wire = make([][]chan Message, p), make([][]chan timedMessage, p)
 	for s := range t.links {
-		t.links[s] = make([]chan Message, p)
+		t.links[s], t.wire[s] = make([]chan Message, p), make([]chan timedMessage, p)
 		for d := range t.links[s] {
 			t.links[s][d] = make(chan Message, linkBuffer)
+			if delay > 0 && s != d {
+				t.wire[s][d] = make(chan timedMessage, linkBuffer)
+				t.wg.Add(1)
+				go t.deliver(t.wire[s][d], t.links[s][d])
+			}
 		}
 	}
 	return t
 }
 
-// SetAbort implements AbortAware.
-func (t *chanTransport) SetAbort(ch <-chan struct{}) { t.abort = ch }
+// deliver moves one link's messages from the wire to the receiver as
+// each one's latency elapses.
+func (t *chanTransport) deliver(in <-chan timedMessage, out chan<- Message) {
+	defer t.wg.Done()
+	for {
+		var tm timedMessage
+		select {
+		case tm = <-in:
+		case <-t.done:
+			return
+		}
+		if d := time.Until(tm.due); d > 0 {
+			select {
+			case <-time.After(d):
+			case <-t.done:
+				return
+			}
+		}
+		select {
+		case out <- tm.m:
+		case <-t.done:
+			return
+		}
+	}
+}
+
+// Attach implements Transport. An in-process transport never fails on
+// its own, so fail is not kept.
+func (t *chanTransport) Attach(abort <-chan struct{}, _ func(error)) { t.abort = abort }
 
 func (t *chanTransport) Send(src, dst int, m Message) {
+	if t.delay > 0 && src != dst {
+		select {
+		case t.wire[src][dst] <- timedMessage{due: time.Now().Add(t.delay), m: m}:
+		case <-t.abort:
+			panic(abortSignal{rank: src, src: dst})
+		}
+		return
+	}
 	// Fast path: the link buffer has room (the steady state — exchange
 	// plans post a handful of messages per link per step).
 	select {
 	case t.links[src][dst] <- m:
 		return
 	default:
-	}
-	if t.abort == nil {
-		t.links[src][dst] <- m
-		return
 	}
 	select {
 	case t.links[src][dst] <- m:
@@ -132,11 +180,47 @@ func (t *chanTransport) Send(src, dst int, m Message) {
 	}
 }
 
-func (t *chanTransport) Recv(dst, src int) Message {
-	return <-t.links[src][dst]
-}
-
-// RecvChan implements AsyncTransport: the (src → dst) link channel.
+// RecvChan implements Transport: the (src → dst) link channel.
 func (t *chanTransport) RecvChan(dst, src int) <-chan Message {
 	return t.links[src][dst]
+}
+
+// MarkStep implements Transport; in-process links carry no step.
+func (t *chanTransport) MarkStep(int) {}
+
+// Close stops the delivery goroutines and returns once they have
+// exited; messages still in flight are dropped. Idempotent.
+func (t *chanTransport) Close() error {
+	t.once.Do(func() { close(t.done) })
+	t.wg.Wait()
+	return nil
+}
+
+// Tap wraps a Transport with two hooks — the one shim for fault
+// injection, stalls, counters and kill drills over any transport.
+// Every method not overridden here is the embedded transport's own.
+// OnSend runs before each message is handed to the wrapped transport
+// and may rewrite the payload through m.Buf; OnStep runs before each
+// step marker is forwarded. Either may be nil. Both are called from
+// rank goroutines, concurrently when a process hosts several ranks.
+type Tap struct {
+	Transport
+	OnSend func(src, dst int, m Message)
+	OnStep func(step int)
+}
+
+// Send implements Transport.
+func (t *Tap) Send(src, dst int, m Message) {
+	if t.OnSend != nil {
+		t.OnSend(src, dst, m)
+	}
+	t.Transport.Send(src, dst, m)
+}
+
+// MarkStep implements Transport.
+func (t *Tap) MarkStep(step int) {
+	if t.OnStep != nil {
+		t.OnStep(step)
+	}
+	t.Transport.MarkStep(step)
 }

@@ -2,122 +2,95 @@ package parmd
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"sctuple/internal/comm"
 )
 
-// FaultTransport wraps the in-process channel transport and corrupts
-// messages of one traffic class by appending garbage, so payloads stop
-// being a whole number of wire records — the fault the typed-error
-// paths must turn into a *RankError instead of a process-killing
-// panic, and the injection seam behind scmd's -fault flag for
-// exercising the postmortem pipeline on demand. It forwards RecvChan,
-// keeping the world's abort protocol able to unblock healthy ranks.
-type FaultTransport struct {
-	comm.AsyncTransport
+// tagClass is one named traffic class: the half-open tag range of one
+// exchange type.
+type tagClass struct {
+	name   string
 	lo, hi int
-	after  int64
-	n      atomic.Int64
-	// Dst, when non-nil, restricts corruption to matching destination
-	// ranks (poison one rank, watch its peers unwind via abort).
-	Dst func(dst int) bool
 }
 
-// faultClasses mirrors defineTagClasses: the tag range of each named
-// traffic class a fault can target.
-var faultClasses = map[string][2]int{
-	"migrate": {tagMigrate, tagHalo},
-	"halo":    {tagHalo, tagForce},
-	"force":   {tagForce, tagHealth},
-	"health":  {tagHealth, tagHealth + 100},
-	"balance": {tagBalance, tagBalance + 100},
-	"vote":    {tagVote, tagVote + 100},
+// tagClasses is the one table of the simulation's traffic classes. The
+// world's per-class counters (defineTagClasses), the fault taps' class
+// lookup and scmd's -fault help all read it.
+var tagClasses = []tagClass{
+	{"migrate", tagMigrate, tagHalo},
+	{"halo", tagHalo, tagForce},
+	{"force", tagForce, tagHealth},
+	{"health", tagHealth, tagHealth + 100},
+	{"balance", tagBalance, tagBalance + 100},
+	{"vote", tagVote, tagVote + 100},
 }
 
-// NewFaultTransport builds a transport for a ranks-sized world that
-// corrupts every message of the named traffic class ("migrate",
-// "halo", "force", "health", "balance", "vote") after the first `after`
-// matching messages have passed clean — so a run can step healthily
-// for a while before the fault lands mid-run.
-func NewFaultTransport(ranks int, class string, after int) (*FaultTransport, error) {
-	r, ok := faultClasses[class]
-	if !ok {
-		return nil, fmt.Errorf("parmd: unknown fault class %q (want migrate, halo, force, health, balance, or vote)", class)
+// TagClassNames lists the traffic classes, in table order — the class
+// names FaultTap and DelayTap accept.
+func TagClassNames() []string {
+	names := make([]string, len(tagClasses))
+	for i, c := range tagClasses {
+		names[i] = c.name
 	}
-	return &FaultTransport{
-		AsyncTransport: comm.NewChanTransport(ranks).(comm.AsyncTransport),
-		lo:             r[0], hi: r[1], after: int64(after),
-	}, nil
+	return names
 }
 
-// SetAbort forwards the world's abort channel to the wrapped channel
-// transport so blocked sends stay interruptible under injection (the
-// interface-typed embed does not promote the extension).
-func (t *FaultTransport) SetAbort(ch <-chan struct{}) {
-	if a, ok := t.AsyncTransport.(comm.AbortAware); ok {
-		a.SetAbort(ch)
+// classTap returns a tap on tr that calls hook before every message of
+// the named traffic class is sent, with n numbering those messages
+// from 1, and the counter of messages matched so far.
+func classTap(tr comm.Transport, class string, hook func(n int64, dst int, m comm.Message)) (*comm.Tap, *atomic.Int64, error) {
+	i := slices.IndexFunc(tagClasses, func(c tagClass) bool { return c.name == class })
+	if i < 0 {
+		names := TagClassNames()
+		last := len(names) - 1
+		return nil, nil, fmt.Errorf("parmd: unknown fault class %q (want %s, or %s)",
+			class, strings.Join(names[:last], ", "), names[last])
 	}
-}
-
-// Send forwards the message, appending 8 garbage bytes (no wire record
-// size divides them) once the class's clean-message budget is spent.
-func (t *FaultTransport) Send(src, dst int, m comm.Message) {
-	if m.Tag >= t.lo && m.Tag < t.hi && (t.Dst == nil || t.Dst(dst)) && t.n.Add(1) > t.after {
-		m.Buf.Int64(0x0BAD)
-	}
-	t.AsyncTransport.Send(src, dst, m)
-}
-
-// DelayTransport wraps the in-process channel transport and stalls the
-// sender of messages in one traffic class for a fixed duration over a
-// bounded window of matching messages — a step-time spike injector
-// that perturbs performance without touching any payload. Matched
-// reports how many class messages passed, so a caller can calibrate
-// the window in messages-per-step with a clean dry run first.
-type DelayTransport struct {
-	comm.AsyncTransport
-	lo, hi       int
-	after, count int64
-	delay        time.Duration
-	n            atomic.Int64
-}
-
-// NewDelayTransport builds a transport for a ranks-sized world that
-// sleeps for delay on each message of the named class (the classes of
-// NewFaultTransport) numbered (after, after+count]. count <= 0 delays
-// nothing — the counting dry-run configuration.
-func NewDelayTransport(ranks int, class string, after, count int, delay time.Duration) (*DelayTransport, error) {
-	r, ok := faultClasses[class]
-	if !ok {
-		return nil, fmt.Errorf("parmd: unknown fault class %q (want migrate, halo, force, health, balance, or vote)", class)
-	}
-	return &DelayTransport{
-		AsyncTransport: comm.NewChanTransport(ranks).(comm.AsyncTransport),
-		lo:             r[0], hi: r[1],
-		after: int64(after), count: int64(count), delay: delay,
-	}, nil
-}
-
-// SetAbort forwards the world's abort channel to the wrapped channel
-// transport, exactly like FaultTransport.SetAbort.
-func (t *DelayTransport) SetAbort(ch <-chan struct{}) {
-	if a, ok := t.AsyncTransport.(comm.AbortAware); ok {
-		a.SetAbort(ch)
-	}
-}
-
-// Matched returns how many messages of the target class have been
-// sent so far.
-func (t *DelayTransport) Matched() int64 { return t.n.Load() }
-
-// Send stalls inside the delay window, then forwards the message.
-func (t *DelayTransport) Send(src, dst int, m comm.Message) {
-	if m.Tag >= t.lo && m.Tag < t.hi {
-		if n := t.n.Add(1); n > t.after && n <= t.after+t.count {
-			time.Sleep(t.delay)
+	c := tagClasses[i]
+	n := new(atomic.Int64)
+	return &comm.Tap{Transport: tr, OnSend: func(_, dst int, m comm.Message) {
+		if m.Tag >= c.lo && m.Tag < c.hi {
+			hook(n.Add(1), dst, m)
 		}
+	}}, n, nil
+}
+
+// FaultTap wraps tr and corrupts every message of the named traffic
+// class by appending 8 garbage bytes (no wire record size divides them)
+// once the first `after` have passed clean — so a run can step
+// healthily for a while before the fault lands mid-run. It is the
+// fault the typed-error paths must turn into a *RankError instead of a
+// process-killing panic, and the injection seam behind scmd's -fault
+// flag. The count covers the messages sent through this tap: every
+// rank of an in-process world, one rank of a socket fleet.
+func FaultTap(tr comm.Transport, class string, after int) (*comm.Tap, error) {
+	tap, _, err := classTap(tr, class, func(n int64, _ int, m comm.Message) {
+		if n > int64(after) {
+			m.Buf.Int64(0x0BAD)
+		}
+	})
+	return tap, err
+}
+
+// DelayTap wraps tr and stalls the sender of each message of the named
+// traffic class numbered (after, after+count] for delay — a step-time
+// spike injector that perturbs performance without touching any
+// payload. count <= 0 delays nothing: the counting dry-run
+// configuration. matched reports how many class messages have been
+// sent, so a caller can calibrate the window in messages per step with
+// a clean dry run first.
+func DelayTap(tr comm.Transport, class string, after, count int, delay time.Duration) (tap *comm.Tap, matched func() int64, err error) {
+	tap, n, err := classTap(tr, class, func(n int64, _ int, _ comm.Message) {
+		if n > int64(after) && n <= int64(after+count) {
+			time.Sleep(delay)
+		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	t.AsyncTransport.Send(src, dst, m)
+	return tap, n.Load, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"sctuple/internal/comm"
@@ -301,35 +300,16 @@ func TestReuseWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// mutateTransport wraps the channel transport and rewrites the payload
-// of messages in one tag range after the first `after` have passed
+// mutateTap wraps the channel transport and rewrites the payload of
+// messages in one traffic class after the first `after` have passed
 // clean: corrupt appends 8 garbage bytes, truncate drops the last
 // byte, drop empties the payload.
-type mutateTransport struct {
-	comm.AsyncTransport
-	lo, hi int
-	after  int64
-	mode   string
-	n      atomic.Int64
-}
-
-func newMutateTransport(ranks, lo, hi, after int, mode string) *mutateTransport {
-	return &mutateTransport{
-		AsyncTransport: comm.NewChanTransport(ranks).(comm.AsyncTransport),
-		lo:             lo, hi: hi, after: int64(after), mode: mode,
-	}
-}
-
-// SetAbort forwards the world's abort channel, like FaultTransport.
-func (t *mutateTransport) SetAbort(ch <-chan struct{}) {
-	if a, ok := t.AsyncTransport.(comm.AbortAware); ok {
-		a.SetAbort(ch)
-	}
-}
-
-func (t *mutateTransport) Send(src, dst int, m comm.Message) {
-	if m.Tag >= t.lo && m.Tag < t.hi && t.n.Add(1) > t.after {
-		switch t.mode {
+func mutateTap(ranks int, class string, after int, mode string) (*comm.Tap, error) {
+	tap, _, err := classTap(comm.NewChanTransport(ranks, 0), class, func(n int64, _ int, m comm.Message) {
+		if n <= int64(after) {
+			return
+		}
+		switch mode {
 		case "corrupt":
 			m.Buf.Int64(0x0BAD)
 		case "truncate":
@@ -341,8 +321,8 @@ func (t *mutateTransport) Send(src, dst int, m comm.Message) {
 		case "drop":
 			m.Buf.Reset()
 		}
-	}
-	t.AsyncTransport.Send(src, dst, m)
+	})
+	return tap, err
 }
 
 // TestSkinProtocolFaultsTyped: a corrupted, truncated or dropped
@@ -352,23 +332,46 @@ func (t *mutateTransport) Send(src, dst int, m comm.Message) {
 // other one unwound by the abort — with no panic and no deadlock. The
 // halo rows let the initial evaluation's whole-record exchange (6
 // messages on the (2,1,1) grid) pass clean, so the fault lands on
-// step 0's positions-only frames.
+// step 0's positions-only frames. Taps resolve class names through the
+// one tag-class table: every registered name is accepted, and the
+// unknown-class row must be refused with the list of valid names.
 func TestSkinProtocolFaultsTyped(t *testing.T) {
 	cfg, model := silicaConfig(t, 4, 300, 47)
 	cart, _ := comm.NewCartDims(geom.IV(2, 1, 1))
+	for _, name := range TagClassNames() {
+		if _, err := FaultTap(comm.NewChanTransport(cart.Size(), 0), name, 0); err != nil {
+			t.Errorf("registered class %q refused: %v", name, err)
+		}
+	}
 	for _, c := range []struct {
 		class, phase, diag string
-		lo, hi, after      int
+		after              int
 	}{
-		{"halo", "halo", "positions of 24 bytes", tagHalo, tagForce, 6},
-		{"vote", "vote", "malformed rebuild vote", tagVote, tagVote + 100, 0},
+		{"halo", "halo", "positions of 24 bytes", 6},
+		{"vote", "vote", "malformed rebuild vote", 0},
+		{"nosuch", "", "unknown fault class", 0},
 	} {
 		for _, mode := range []string{"corrupt", "truncate", "drop"} {
 			for _, noOverlap := range []bool{false, true} {
 				label := fmt.Sprintf("%s/%s/sync=%v", c.class, mode, noOverlap)
-				_, err := Run(cfg, model, Options{
+				tap, err := mutateTap(cart.Size(), c.class, c.after, mode)
+				if c.phase == "" {
+					if err == nil || !strings.Contains(err.Error(), c.diag) {
+						t.Fatalf("%s: tap error %v, want %q", label, err, c.diag)
+					}
+					for _, name := range TagClassNames() {
+						if !strings.Contains(err.Error(), name) {
+							t.Errorf("%s: tap error %q does not list class %q", label, err, name)
+						}
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				_, err = Run(cfg, model, Options{
 					Scheme: SchemeSC, Cart: cart, Dt: 0.5, Steps: 2, NoOverlap: noOverlap,
-					Transport: newMutateTransport(cart.Size(), c.lo, c.hi, c.after, mode),
+					Transport: tap,
 				})
 				if err == nil {
 					t.Fatalf("%s: faulted run succeeded", label)

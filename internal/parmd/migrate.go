@@ -2,6 +2,7 @@ package parmd
 
 import (
 	"fmt"
+	"slices"
 
 	"sctuple/internal/comm"
 	"sctuple/internal/geom"
@@ -54,24 +55,35 @@ func (r *rankState) migrateAtoms() error {
 }
 
 // migrateAxis exchanges leavers with both axis neighbors of the
-// compiled phase.
+// compiled phase. A first pass settles every atom's hop and counts the
+// leavers each way, so both outgoing buffers are sized once — the way
+// postHaloSend reserves its slab — instead of growing record by record.
 func (r *rankState) migrateAxis(axis int, mp *MigratePhase) error {
-	out := [2]*comm.Buffer{r.p.AcquireBuffer(), r.p.AcquireBuffer()} // 0: toward -1, 1: toward +1
-	before := r.nOwned
-	keep := 0
-	for i := 0; i < r.nOwned; i++ {
+	r.hops = slices.Grow(r.hops[:0], r.nOwned)[:r.nOwned]
+	var leavers [2]int // 0: toward -1, 1: toward +1
+	for i := range r.hops {
 		target := r.dec.ownerIndex(axis, r.gcell[i].Comp(axis))
 		d, err := hopDir(mp.BlockIdx, target, mp.Dim)
 		if err != nil {
 			if !r.hopClamp {
-				r.p.ReleaseBuffer(out[0])
-				r.p.ReleaseBuffer(out[1])
 				return fmt.Errorf("axis %d atom %d: %w", axis, r.ids[i], err)
 			}
 			// Repartition handoff: an atom left several blocks from its
 			// new owner walks over one hop per round.
 			d = hopDirClamped(mp.BlockIdx, target, mp.Dim)
 		}
+		r.hops[i] = int8(d)
+		if d != 0 {
+			leavers[(d+1)/2]++
+		}
+	}
+	out := [2]*comm.Buffer{r.p.AcquireBuffer(), r.p.AcquireBuffer()}
+	for di, n := range leavers {
+		out[di].Reserve(n * MigrantWireBytes)
+	}
+	before := r.nOwned
+	keep := 0
+	for i, d := range r.hops {
 		if d == 0 {
 			r.copyAtom(keep, i)
 			keep++

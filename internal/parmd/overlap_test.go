@@ -159,12 +159,12 @@ func TestOverlapPostsCrossRankHaloFirst(t *testing.T) {
 	}
 }
 
-// mustFaultTransport builds a FaultTransport or fails the test — the
-// exported fault-injection seam is also what these corruption tests
-// exercise.
-func mustFaultTransport(t *testing.T, ranks int, class string) *FaultTransport {
+// mustFaultTap builds a FaultTap over a fresh channel transport or
+// fails the test — the exported fault-injection seam is also what
+// these corruption tests exercise.
+func mustFaultTap(t *testing.T, ranks int, class string) *comm.Tap {
 	t.Helper()
-	ft, err := NewFaultTransport(ranks, class, 0)
+	ft, err := FaultTap(comm.NewChanTransport(ranks, 0), class, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestMalformedHaloMessageTypedError(t *testing.T) {
 			Scheme: SchemeSC, Cart: cart, Dt: 1, Steps: 1,
 			NoOverlap: noOverlap,
 			Log:       obs.TextLogger(&logBuf, slog.LevelInfo),
-			Transport: mustFaultTransport(t, cart.Size(), "halo"),
+			Transport: mustFaultTap(t, cart.Size(), "halo"),
 		})
 		if err == nil {
 			t.Fatalf("noOverlap=%v: corrupted halo exchange succeeded", noOverlap)
@@ -227,7 +227,7 @@ func TestMalformedWriteBackTypedError(t *testing.T) {
 	cart, _ := comm.NewCartDims(geom.IV(2, 1, 1))
 	_, err := Run(cfg, model, Options{
 		Scheme: SchemeSC, Cart: cart, Dt: 1, Steps: 1,
-		Transport: mustFaultTransport(t, cart.Size(), "force"),
+		Transport: mustFaultTap(t, cart.Size(), "force"),
 	})
 	if err == nil {
 		t.Fatal("corrupted write-back succeeded")
@@ -260,9 +260,15 @@ func TestMalformedWriteBackTypedError(t *testing.T) {
 func TestAbortPropagatesToHealthyRanks(t *testing.T) {
 	cfg, model := silicaConfig(t, 4, 300, 45)
 	cart, _ := comm.NewCartDims(geom.IV(2, 1, 1))
-	ft := mustFaultTransport(t, cart.Size(), "halo")
-	ft.Dst = func(dst int) bool { return dst == 0 }
-	_, err := Run(cfg, model, Options{
+	ft, _, err := classTap(comm.NewChanTransport(cart.Size(), 0), "halo", func(_ int64, dst int, m comm.Message) {
+		if dst == 0 {
+			m.Buf.Int64(0x0BAD)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(cfg, model, Options{
 		Scheme: SchemeSC, Cart: cart, Dt: 1, Steps: 1,
 		Transport: ft,
 	})

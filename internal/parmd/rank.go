@@ -268,6 +268,9 @@ type rankState struct {
 	// the clamped rounds walk it over one hop at a time.
 	bal      *balanceState
 	hopClamp bool
+	// hops is migrateAxis's scratch: each owned atom's hop direction
+	// (-1, 0, +1) on the axis being exchanged.
+	hops []int8
 
 	// rec records this rank's phase spans; nil (the default) keeps
 	// every span site a single-branch no-op.
@@ -730,6 +733,7 @@ func (r *rankState) adopt(cfg *workload.Config) {
 	}
 	r.nOwned = len(r.ids)
 	r.force = make([]geom.Vec3, r.nOwned)
+	r.hops = make([]int8, 0, r.nOwned+r.nOwned/4)
 	r.stats.OwnedAtoms = r.nOwned
 }
 

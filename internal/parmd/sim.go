@@ -84,8 +84,8 @@ type Options struct {
 	NoOverlap bool
 	// Transport, when non-nil, replaces the world's default channel
 	// transport — the seam fault injection uses to exercise the
-	// malformed-message and abort paths (see FaultTransport and scmd's
-	// -fault flag), and the socket fabric plugs genuinely distributed
+	// malformed-message and abort paths (see FaultTap and scmd's -fault
+	// flag), and the socket fabric plugs genuinely distributed
 	// execution into (see RunSocket and scmd -transport socket).
 	Transport comm.Transport
 	// forceRebuild rebuilds the tuple lists on every step instead of
@@ -310,12 +310,6 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 			r.prewarmParity(cfg.N())
 		}
 
-		// The socket fabric stamps outgoing frames with the current
-		// step so wire captures and failure reports carry simulation
-		// time; the channel transport doesn't implement the marker, so
-		// the per-step branch below is a nil check in-process.
-		marker, _ := opt.Transport.(comm.StepMarker)
-
 		var mallocs0 uint64
 		if opt.MeasureAllocs && opt.Steps > 0 {
 			p.Barrier()
@@ -334,9 +328,9 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 			}
 			r.rec.SetStep(step)
 			r.curStep = step
-			if marker != nil {
-				marker.MarkStep(step)
-			}
+			// The socket fabric stamps outgoing frames with the step, so
+			// wire captures and failure reports carry simulation time.
+			p.MarkStep(step)
 			r.healthStep = opt.Health.Due(step)
 			// Velocity Verlet: half kick, drift, migrate, forces,
 			// half kick.
@@ -462,15 +456,20 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 		"steps", opt.Steps, "wall_ms", float64(res.Wall.Nanoseconds())/1e6,
 		"healthy", res.Health.Healthy())
 
-	if opt.Worker != nil && opt.Worker.Rank != 0 {
-		// Non-root workers shipped their state to rank 0 and hold no
-		// gathered fields: their Result carries this process's own
-		// counters and phase decomposition only.
+	if opt.Worker == nil || opt.Worker.Rank != 0 {
+		// In worker mode rank 0 already summed these from the wire
+		// gather (every process meters only its own rank); non-root
+		// workers report this process's own counters.
 		res.Comm = world.TotalStats()
 		res.CommByClass = make(map[string]comm.Stats)
 		for _, name := range world.ClassNames() {
 			res.CommByClass[name] = world.ClassStats(name)
 		}
+	}
+	if opt.Worker != nil && opt.Worker.Rank != 0 {
+		// Non-root workers shipped their state to rank 0 and hold no
+		// gathered fields: their Result carries this process's own
+		// counters and phase decomposition only.
 		res.Phases = opt.Recorder.PhaseStats()
 		if err := opt.StepLog.Err(); err != nil {
 			return nil, fmt.Errorf("parmd: telemetry step log: %w", err)
@@ -505,15 +504,6 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 		res.Forces[i] = a.force
 	}
 	res.Final = final
-	if opt.Worker == nil {
-		// In worker mode rank 0 already summed these from the wire
-		// gather (every process meters only its own rank).
-		res.Comm = world.TotalStats()
-		res.CommByClass = make(map[string]comm.Stats)
-		for _, name := range world.ClassNames() {
-			res.CommByClass[name] = world.ClassStats(name)
-		}
-	}
 	res.Phases = opt.Recorder.PhaseStats()
 	publishMetrics(opt.Metrics, res)
 	if err := opt.StepLog.Err(); err != nil {
@@ -550,14 +540,12 @@ var (
 	phaseRepartition = obs.Phase("repartition")
 )
 
-// defineTagClasses registers the simulation's traffic classes on a
-// world so the runtime's counters split by exchange type — the richer
-// structure the performance model and bench reports read.
+// defineTagClasses registers the simulation's traffic classes
+// (tagClasses) on a world so the runtime's counters split by exchange
+// type — the richer structure the performance model and bench reports
+// read.
 func defineTagClasses(world *comm.World) {
-	world.DefineTagClass("migrate", tagMigrate, tagHalo)
-	world.DefineTagClass("halo", tagHalo, tagForce)
-	world.DefineTagClass("force", tagForce, tagHealth)
-	world.DefineTagClass("health", tagHealth, tagHealth+100)
-	world.DefineTagClass("balance", tagBalance, tagBalance+100)
-	world.DefineTagClass("vote", tagVote, tagVote+100)
+	for _, c := range tagClasses {
+		world.DefineTagClass(c.name, c.lo, c.hi)
+	}
 }

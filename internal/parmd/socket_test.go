@@ -3,6 +3,7 @@ package parmd
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,21 +74,6 @@ func bitsEqualVec3(a, b geom.Vec3) bool {
 		math.Float64bits(a.Z) == math.Float64bits(b.Z)
 }
 
-// killTransport closes its socket fabric when the step loop reaches
-// atStep — from the peers' side indistinguishable from the worker
-// process dying mid-run.
-type killTransport struct {
-	*comm.SocketTransport
-	atStep int
-}
-
-func (k *killTransport) MarkStep(step int) {
-	if step >= k.atStep {
-		k.SocketTransport.Close()
-	}
-	k.SocketTransport.MarkStep(step)
-}
-
 // TestSocketKilledWorkerAborts: when one rank's fabric dies mid-run,
 // every survivor must unwind with a typed error carrying ErrAborted —
 // no deadlock, no panic — and the run as a whole must fail.
@@ -109,10 +95,17 @@ func TestSocketKilledWorkerAborts(t *testing.T) {
 	go func() {
 		res, err := runSocketWorlds(cfg, model, opt, "unix",
 			func(rank int, tr *comm.SocketTransport) comm.Transport {
-				if rank == 1 {
-					return &killTransport{SocketTransport: tr, atStep: 3}
+				if rank != 1 {
+					return tr
 				}
-				return tr
+				// Close the fabric when the step loop reaches step 3 —
+				// from the peers' side indistinguishable from the worker
+				// process dying mid-run.
+				return &comm.Tap{Transport: tr, OnStep: func(step int) {
+					if step >= 3 {
+						tr.Close()
+					}
+				}}
 			})
 		done <- outcome{res, err}
 	}()
@@ -130,5 +123,61 @@ func TestSocketKilledWorkerAborts(t *testing.T) {
 		}
 	case <-time.After(90 * time.Second):
 		t.Fatal("killed worker deadlocked the fleet")
+	}
+}
+
+// TestSocketHaloFaultAborts: the fault tap works over any transport.
+// With rank 0's outgoing halo payloads corrupted on a socket fleet (to
+// its peer and, through the periodic self-images, to itself), a
+// receiving rank fails with the typed halo diagnostic, any other one
+// unwinds with ErrAborted once the abort closes the fabric, and the
+// run fails with one *RankError per rank — no deadlock, no panic.
+func TestSocketHaloFaultAborts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("socket fabric run in -short mode")
+	}
+	cfg, model := silicaConfig(t, 4, 300, 1)
+	cart, err := comm.NewCartDims(geom.IV(2, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Scheme: SchemeSC, Cart: cart, Dt: 1, Steps: 5}
+	done := make(chan error, 1)
+	go func() {
+		_, err := runSocketWorlds(cfg, model, opt, "unix",
+			func(rank int, tr *comm.SocketTransport) comm.Transport {
+				if rank != 0 {
+					return tr
+				}
+				ft, err := FaultTap(tr, "halo", 0)
+				if err != nil {
+					panic(err)
+				}
+				return ft
+			})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("run with corrupted halo traffic succeeded")
+		}
+		rerrs := RankErrors(err)
+		if len(rerrs) != cart.Size() {
+			t.Fatalf("%d rank errors for %d ranks: %v", len(rerrs), cart.Size(), err)
+		}
+		haloErrs := 0
+		for _, re := range rerrs {
+			if re.Phase == "halo" && strings.Contains(re.Error(), "malformed halo message") {
+				haloErrs++
+			} else if !errors.Is(re, comm.ErrAborted) {
+				t.Errorf("rank %d failed without the halo diagnostic or an abort: %v", re.Rank, re)
+			}
+		}
+		if haloErrs == 0 {
+			t.Errorf("no rank reported the halo corruption: %v", err)
+		}
+	case <-time.After(90 * time.Second):
+		t.Fatal("halo fault deadlocked the fleet")
 	}
 }
