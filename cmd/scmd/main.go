@@ -536,8 +536,7 @@ func runParallel(cfg *workload.Config, model *potential.Model, engineName string
 	maxRank := res.MaxRank()
 	fmt.Printf("max rank: %d owned atoms, %d halo atoms imported, %d search candidates\n",
 		maxRank.OwnedAtoms, maxRank.AtomsImported, maxRank.SearchCandidates)
-	fmt.Printf("tuple lists rebuilt %d times over %d force evaluations (skin %.3f Å from the cell lattice)\n",
-		res.ListRebuilds, steps+1, res.Skin)
+	printLattice(res, steps)
 	if popt.Balance != nil {
 		fmt.Printf("adaptive balance: %d checks, %d repartitions, final force imbalance %.2f (whole run %.2f)\n",
 			res.BalanceChecks, res.Repartitions, res.Imbalance, res.ForceImbalance())
@@ -649,6 +648,20 @@ func parallelOptions(engineName string, ranks, steps int, dt float64, workers in
 
 // printRun prints a parallel run's sampled energies, its wall time and
 // its traffic by class; note qualifies the traffic total.
+// printLattice prints the decomposition's cell lattice with the owned
+// atom balance it gives, and the skin the lattice leaves the tuple
+// lists.
+func printLattice(res *parmd.Result, steps int) {
+	side := fmt.Sprintf("%.2f", res.CellSide.X)
+	if res.CellSide.Y != res.CellSide.X || res.CellSide.Z != res.CellSide.X {
+		side = fmt.Sprintf("%.2f×%.2f×%.2f", res.CellSide.X, res.CellSide.Y, res.CellSide.Z)
+	}
+	fmt.Printf("decomposition %d×%d×%d cells of %s Å, owned atoms max/mean %.2f\n",
+		res.Cells.X, res.Cells.Y, res.Cells.Z, side, res.OwnedImbalance())
+	fmt.Printf("tuple lists rebuilt %d times over %d force evaluations (skin %.3f Å from the cell lattice)\n",
+		res.ListRebuilds, steps+1, res.Skin)
+}
+
 func printRun(res *parmd.Result, elapsed time.Duration, steps, every int, note string) {
 	fmt.Printf("%8s %14s %14s %14s\n", "step", "PE (eV)", "KE (eV)", "E total (eV)")
 	for s := 0; s < len(res.Energies); s += max(1, every) {

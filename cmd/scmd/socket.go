@@ -209,6 +209,7 @@ func runSocketWorker(cfg *workload.Config, model *potential.Model, engineName st
 		return nil
 	}
 	printRun(res, time.Since(start), steps, every, " (gathered over the wire)")
+	printLattice(res, steps)
 	if popt.Health != nil {
 		if res.Health.Healthy() {
 			fmt.Println("health probes: all ok")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"sctuple/internal/geom"
 )
@@ -39,6 +40,67 @@ func (b *Buffer) Reserve(n int) {
 		copy(nb, b.b)
 		b.b = nb
 	}
+}
+
+// takeFit removes from pool and returns the buffer that best fits an
+// n-byte payload — the smallest that holds it, or the largest when none
+// does — emptied; nil when the pool is empty. Fitting keeps each size
+// class of message on buffers it already grew: a small collective does
+// not take the grown buffer a halo frame then has to grow again.
+func takeFit(pool []*Buffer, n int) ([]*Buffer, *Buffer) {
+	best := -1
+	for i, b := range pool {
+		if best < 0 {
+			best = i
+			continue
+		}
+		c, bc := cap(b.b), cap(pool[best].b)
+		if (c >= n && (bc < n || c < bc)) || (bc < n && c > bc) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return pool, nil
+	}
+	b := pool[best]
+	last := len(pool) - 1
+	pool[best] = pool[last]
+	pool[last] = nil
+	b.Reset()
+	return pool[:last], b
+}
+
+// BufferPool is a freelist of message buffers shared between
+// goroutines: a byte-stream transport's readers fill incoming messages
+// from it, and the local rank's sends and releases feed it, so every
+// buffer of the rank is available to whichever side needs one.
+type BufferPool struct {
+	mu   sync.Mutex
+	free []*Buffer
+}
+
+// Get returns an empty buffer with room for n bytes: the pooled buffer
+// that best fits, or a new one when the pool is dry.
+func (bp *BufferPool) Get(n int) *Buffer {
+	bp.mu.Lock()
+	var b *Buffer
+	bp.free, b = takeFit(bp.free, n)
+	bp.mu.Unlock()
+	if b == nil {
+		b = new(Buffer)
+	}
+	b.Reserve(n)
+	return b
+}
+
+// Put returns a buffer to the pool. nil is ignored.
+func (bp *BufferPool) Put(b *Buffer) {
+	if b == nil {
+		return
+	}
+	bp.mu.Lock()
+	bp.free = append(bp.free, b)
+	bp.mu.Unlock()
 }
 
 // Grow extends the buffer by n uninitialized bytes and returns the

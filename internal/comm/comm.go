@@ -14,8 +14,9 @@
 //
 // Hot paths use pooled buffers: AcquireBuffer/SendBuffer on the
 // sender, RecvBuffer/ReleaseBuffer on the receiver. Buffers circulate
-// through per-rank freelists, so steady-state exchanges allocate
-// nothing.
+// through per-rank freelists (over a byte-stream transport, through
+// the transport's pool, Transport.Pool), so steady-state exchanges
+// allocate nothing.
 package comm
 
 import (
@@ -48,6 +49,9 @@ type tagClassDef struct {
 type World struct {
 	size int
 	tr   Transport
+	// pool, when the transport has one (Transport.Pool), replaces the
+	// ranks' own freelists.
+	pool *BufferPool
 
 	classes []tagClassDef // index = class slot (includes builtins)
 	// counters[rank][class]: sends counted at the sender, receive wait
@@ -103,6 +107,7 @@ func NewWorldTransport(p int, tr Transport) *World {
 		},
 		abortCh: make(chan struct{}),
 	}
+	w.pool = tr.Pool()
 	w.growCounters()
 	tr.Attach(w.abortCh, w.recordFailure)
 	return w
@@ -474,22 +479,34 @@ func (p *Proc) checkDecode(rd *Reader, what string) {
 // AcquireBuffer returns an empty buffer from this rank's freelist
 // (allocating only when the list is dry). Pass it to SendBuffer — the
 // receiving rank returns it to circulation with ReleaseBuffer.
-func (p *Proc) AcquireBuffer() *Buffer {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		b.Reset()
-		return b
+func (p *Proc) AcquireBuffer() *Buffer { return p.AcquireBufferSize(0) }
+
+// AcquireBufferSize is AcquireBuffer for a payload of n bytes: it takes
+// the pooled buffer that best fits n and reserves room for n, so a
+// payload of known size is written without growing a buffer that was
+// pooled after a smaller message while a larger one sat idle.
+func (p *Proc) AcquireBufferSize(n int) *Buffer {
+	if p.world.pool != nil {
+		return p.world.pool.Get(n)
 	}
-	return new(Buffer)
+	var b *Buffer
+	p.free, b = takeFit(p.free, n)
+	if b == nil {
+		b = new(Buffer)
+	}
+	b.Reserve(n)
+	return b
 }
 
 // ReleaseBuffer returns a buffer (typically one obtained from
 // RecvBuffer) to this rank's freelist. The caller must not use it
 // afterwards. nil is ignored.
 func (p *Proc) ReleaseBuffer(b *Buffer) {
-	if b != nil {
+	switch {
+	case b == nil:
+	case p.world.pool != nil:
+		p.world.pool.Put(b)
+	default:
 		p.free = append(p.free, b)
 	}
 }

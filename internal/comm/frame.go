@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
 )
 
 // The socket fabric moves messages as length-prefixed frames. Every
@@ -112,15 +113,24 @@ func parseFrameHeader(b []byte, peer int) (frameHeader, error) {
 	return h, nil
 }
 
-// writeFrame writes one complete frame. scratch is reused across calls
-// so steady-state sends stage header+payload into one Write (one
-// syscall, and no interleaving hazard when a link is shared).
-func writeFrame(w io.Writer, scratch *[]byte, h frameHeader, payload []byte) error {
+// frameWriter writes frames on one stream. Header and payload leave as
+// one vectored write (writev on a socket, a single syscall), so the
+// payload is never copied and no staging buffer grows with the largest
+// frame. Writers that cannot take a vector get the two parts one after
+// the other; a shared stream's caller serializes frames either way.
+type frameWriter struct {
+	hdr  [frameHeaderBytes]byte
+	iov  [2][]byte
+	bufs net.Buffers
+}
+
+// write writes one complete frame.
+func (fw *frameWriter) write(w io.Writer, h frameHeader, payload []byte) error {
 	h.payload = uint32(len(payload))
-	buf := appendFrameHeader((*scratch)[:0], h)
-	buf = append(buf, payload...)
-	*scratch = buf
-	_, err := w.Write(buf)
+	fw.iov = [2][]byte{appendFrameHeader(fw.hdr[:0], h), payload}
+	fw.bufs = fw.iov[:]
+	_, err := fw.bufs.WriteTo(w)
+	fw.iov[1] = nil // the payload goes back to its pool
 	return err
 }
 

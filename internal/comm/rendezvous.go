@@ -58,10 +58,10 @@ func ServeRendezvous(ln net.Listener, size int, token uint64, timeout time.Durat
 		payload.Int32(int32(len(a)))
 		payload.b = append(payload.b, a...)
 	}
-	var scratch []byte
+	var fw frameWriter
 	for rank, conn := range conns {
 		h := frameHeader{kind: framePeers, src: -1, dst: int32(rank)}
-		if err := writeFrame(conn, &scratch, h, payload.Bytes()); err != nil {
+		if err := fw.write(conn, h, payload.Bytes()); err != nil {
 			return fmt.Errorf("comm: rendezvous: sending peer map to rank %d: %w", rank, err)
 		}
 	}
@@ -105,9 +105,9 @@ func registerWorker(cfg SocketConfig, listenAddr string, deadline time.Time) ([]
 	payload.Int32(int32(cfg.Size))
 	payload.Int32(int32(len(listenAddr)))
 	payload.b = append(payload.b, listenAddr...)
-	var scratch []byte
+	var fw frameWriter
 	h := frameHeader{kind: frameRegister, src: int32(cfg.Rank), dst: -1}
-	if err := writeFrame(conn, &scratch, h, payload.Bytes()); err != nil {
+	if err := fw.write(conn, h, payload.Bytes()); err != nil {
 		return nil, fmt.Errorf("comm: rank %d registering: %w", cfg.Rank, err)
 	}
 

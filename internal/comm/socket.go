@@ -41,11 +41,11 @@ type SocketTransport struct {
 	closeOnce sync.Once
 	closed    atomic.Bool
 
-	// pool recycles receive buffers: a rank's sent buffers land here
-	// after the frame is written, and reader goroutines draw from it,
-	// so steady-state exchanges allocate nothing once warm.
-	poolMu sync.Mutex
-	pool   []*Buffer
+	// pool holds every idle buffer of the local rank: sent buffers land
+	// here once the frame is written, the rank releases received ones
+	// into it (World uses Pool), and reader goroutines draw from it, so
+	// steady-state exchanges allocate nothing once warm.
+	pool BufferPool
 
 	failMu  sync.Mutex
 	failErr error
@@ -57,12 +57,12 @@ type SocketTransport struct {
 
 // socketLink is the sender half of one rank-pair connection. The mutex
 // serializes writers (the rank goroutine and, rarely, collectives on
-// helper paths); wbuf stages header+payload into a single Write so
-// frames never interleave.
+// helper paths), so frames never interleave; fw writes each frame's
+// header and payload in one vectored write.
 type socketLink struct {
 	mu   sync.Mutex
 	conn net.Conn
-	wbuf []byte
+	fw   frameWriter
 }
 
 // SocketConfig configures one rank's side of a socket fabric.
@@ -138,7 +138,7 @@ func DialSocket(cfg SocketConfig) (*SocketTransport, error) {
 		log:     cfg.Log,
 		// Room for the buffers a step keeps in flight, so the pool's
 		// own slice does not grow while a run warms up.
-		pool: make([]*Buffer, 0, 64),
+		pool: BufferPool{free: make([]*Buffer, 0, 64)},
 	}
 	for i := range t.inbox {
 		t.inbox[i] = make(chan Message, linkBuffer)
@@ -239,9 +239,9 @@ func handshakeDial(conn net.Conn, cfg SocketConfig, peer int, deadline time.Time
 	var payload Buffer
 	payload.Int64(int64(cfg.Token))
 	payload.Int32(int32(cfg.Size))
-	var scratch []byte
+	var fw frameWriter
 	h := frameHeader{kind: frameHello, src: int32(cfg.Rank), dst: int32(peer)}
-	if err := writeFrame(conn, &scratch, h, payload.Bytes()); err != nil {
+	if err := fw.write(conn, h, payload.Bytes()); err != nil {
 		return fmt.Errorf("sending hello: %w", err)
 	}
 	ack, body, err := readControlFrame(conn, peer)
@@ -288,9 +288,9 @@ func handshakeAccept(conn net.Conn, cfg SocketConfig, deadline time.Time) (int, 
 	}
 	var payload Buffer
 	payload.Int64(int64(cfg.Token))
-	var scratch []byte
+	var fw frameWriter
 	ack := frameHeader{kind: frameAck, src: int32(cfg.Rank), dst: h.src}
-	if err := writeFrame(conn, &scratch, ack, payload.Bytes()); err != nil {
+	if err := fw.write(conn, ack, payload.Bytes()); err != nil {
 		return 0, fmt.Errorf("sending ack to rank %d: %w", src, err)
 	}
 	return src, nil
@@ -340,16 +340,16 @@ func (t *SocketTransport) serveConn(peer int, conn net.Conn) {
 				"misrouted frame src=%d dst=%d on link %d→%d", h.src, h.dst, peer, t.rank)})
 			return
 		}
-		buf := t.getBuf()
+		buf := t.pool.Get(int(h.payload))
 		if err := readFramePayload(br, h, buf.Grow(int(h.payload)), peer); err != nil {
-			t.putBuf(buf)
+			t.pool.Put(buf)
 			t.fail(err)
 			return
 		}
 		select {
 		case t.inbox[peer] <- Message{Tag: int(h.tag), Buf: buf}:
 		case <-t.closeCh:
-			t.putBuf(buf)
+			t.pool.Put(buf)
 			return
 		}
 	}
@@ -428,28 +428,9 @@ func (t *SocketTransport) Close() error {
 // their headers.
 func (t *SocketTransport) MarkStep(step int) { t.step.Store(int32(step)) }
 
-func (t *SocketTransport) getBuf() *Buffer {
-	t.poolMu.Lock()
-	if n := len(t.pool); n > 0 {
-		b := t.pool[n-1]
-		t.pool[n-1] = nil
-		t.pool = t.pool[:n-1]
-		t.poolMu.Unlock()
-		b.Reset()
-		return b
-	}
-	t.poolMu.Unlock()
-	return new(Buffer)
-}
-
-func (t *SocketTransport) putBuf(b *Buffer) {
-	if b == nil {
-		return
-	}
-	t.poolMu.Lock()
-	t.pool = append(t.pool, b)
-	t.poolMu.Unlock()
-}
+// Pool implements Transport: the readers fill incoming frames from the
+// pool the local rank sends from and releases into.
+func (t *SocketTransport) Pool() *BufferPool { return &t.pool }
 
 // Send implements Transport: encode the message as one frame and write
 // it on the peer link (self-sends short-circuit through the local
@@ -478,13 +459,13 @@ func (t *SocketTransport) Send(src, dst int, m Message) {
 		tag: int32(m.Tag), step: t.step.Load(),
 	}
 	l.mu.Lock()
-	err := writeFrame(l.conn, &l.wbuf, h, m.Buf.Bytes())
+	err := l.fw.write(l.conn, h, m.Buf.Bytes())
 	l.mu.Unlock()
 	if err != nil {
 		t.fail(fmt.Errorf("comm: rank %d send to rank %d: %w", src, dst, err))
 		panic(abortSignal{rank: src, err: t.error()})
 	}
-	t.putBuf(m.Buf)
+	t.pool.Put(m.Buf)
 }
 
 // RecvChan implements Transport: the inbox of one source rank.

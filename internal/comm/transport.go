@@ -48,6 +48,11 @@ const tagLinkDown = -1 << 30
 // (the socket transport stamps it into every frame header so captures
 // of a broken stream carry the step they broke at).
 //
+// Pool returns the pool a transport's readers fill incoming messages
+// from, which the World then also sends from and releases into; nil
+// when messages arrive in the sender's own buffers (in-process links),
+// where each rank keeps a lock-free freelist instead.
+//
 // Close releases the transport's goroutines and connections. The World
 // calls it when it aborts, so remote peers observe the failure as EOF
 // and abort their own worlds in turn: that chain is how a killed
@@ -58,6 +63,7 @@ type Transport interface {
 	RecvChan(dst, src int) <-chan Message
 	Attach(abort <-chan struct{}, fail func(error))
 	MarkStep(step int)
+	Pool() *BufferPool
 	Close() error
 }
 
@@ -187,6 +193,9 @@ func (t *chanTransport) RecvChan(dst, src int) <-chan Message {
 
 // MarkStep implements Transport; in-process links carry no step.
 func (t *chanTransport) MarkStep(int) {}
+
+// Pool implements Transport: receivers get the sender's buffer itself.
+func (t *chanTransport) Pool() *BufferPool { return nil }
 
 // Close stops the delivery goroutines and returns once they have
 // exited; messages still in flight are dropped. Idempotent.

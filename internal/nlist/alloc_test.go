@@ -2,6 +2,7 @@ package nlist
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"sctuple/internal/geom"
@@ -97,8 +98,14 @@ func TestBuilderGrowthHeadroom(t *testing.T) {
 	}
 	rebuild(compressed) // the new high-water mark: may allocate
 	// Counted directly: testing.AllocsPerRun truncates the per-run mean,
-	// which would hide a handful of reallocations over ten runs.
+	// which would hide a handful of reallocations over ten runs. The
+	// malloc counter is process-wide, so the window also holds off the
+	// garbage collector: a cycle starting inside it (the earlier tests'
+	// garbage makes one likelier in a full-suite run) can allocate on
+	// the runtime's side and count against the builder.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, c := range fluct {

@@ -31,12 +31,14 @@ func TestBalancerReducesVoidImbalance(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(13))
 	cfg := workload.Void(rng, 9000, 0.7)
-	// A short-cutoff single-species LJ model: the 3.4 Å cells give the
-	// slab boundaries 15 cells of granularity along x, enough for the
+	// A short-cutoff single-species LJ model: the 2.55 Å cells give the
+	// slab boundaries 20 cells of granularity along x, enough for the
 	// equalizer to meaningfully improve on the uniform split (the
 	// silica cutoff would leave only 2 coarse cells per rank, where no
-	// boundary move can pay).
-	model := potential.NewLJModel(0.005, 1.3, 3.4, 39.948)
+	// boundary move can pay). 20 is a multiple of the 4 ranks, so
+	// SC-MD's even lattice (Scheme.lattice) keeps every cell; a 3.4 Å
+	// cutoff's 15 cells would drop to 12, too coarse to pay.
+	model := potential.NewLJModel(0.005, 1.3, 2.55, 39.948)
 	for i := range cfg.Species {
 		cfg.Species[i] = 0
 	}
@@ -65,6 +67,7 @@ func TestBalancerReducesVoidImbalance(t *testing.T) {
 		t.Fatalf("static run repartitioned %d times", sres.Repartitions)
 	}
 	bres := run(Balancer{Every: 10, Threshold: 1.05, countWork: true})
+	t.Logf("static imbalance %.3f, balanced %.3f after %d repartitions", sres.Imbalance, bres.Imbalance, bres.Repartitions)
 	if bres.Repartitions < 1 {
 		t.Errorf("balanced run never repartitioned (imbalance %.2f)", bres.Imbalance)
 	} else if excess, want := bres.Imbalance-1, 0.6*(sres.Imbalance-1); excess > want {
@@ -85,12 +88,12 @@ func TestBalancerReducesVoidImbalance(t *testing.T) {
 //   - threshold: 5³ unit cells lay 6 pair cells per axis, which the
 //     (2,1,1) grid splits 3/3; the imbalance stays below the default
 //     1.2 threshold, and no check repartitions.
-//   - min gain: 4³ unit cells lay 5 pair cells, split 3/2 (960 and 576
-//     atoms), so every check passes the threshold. The cell layers do
-//     not hold equal atom counts (the 5.73 Å cells do not divide the
-//     7.16 Å crystal period), and with the default 0.02 guard the
-//     balancer takes the better split it predicts; a guard above the
-//     largest gain any move can reach (imbalance − 1) holds the
+//   - min gain: 3,000 SiO₂ atoms whose density ramps 1 → 2.5 along x
+//     (workload.DensityGradient) fill the same 6 cells, split 3/3, but
+//     the dense half carries more list entries (imbalance 1.25), so
+//     every check passes the threshold. With the default 0.02 guard
+//     the balancer takes the better split it predicts; a guard above
+//     the largest gain any move can reach (imbalance − 1) holds the
 //     boundaries.
 //
 // One run on the default wall-time signal, on the even split, keeps
@@ -101,7 +104,9 @@ func TestBalancerUniformHysteresis(t *testing.T) {
 		t.Skip("40-step balanced runs")
 	}
 	even, model := silicaConfig(t, 5, 300, 17)
-	uneven, _ := silicaConfig(t, 4, 300, 17)
+	rng := rand.New(rand.NewSource(17))
+	uneven := workload.DensityGradient(rng, 3000, 2.5)
+	uneven.Thermalize(rng, model, 300)
 	cart, err := comm.NewCartDims(geom.IV(2, 1, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -124,11 +129,11 @@ func TestBalancerUniformHysteresis(t *testing.T) {
 	}
 	held := run(uneven, Balancer{Every: 10, MinGain: 0.3, countWork: true})
 	if held.Repartitions != 0 || !(held.Imbalance > 1.2 && held.Imbalance < 1.3) {
-		t.Errorf("3/2 split, min gain 0.3: %d repartitions at imbalance %.3f, want none above the threshold",
+		t.Errorf("density ramp, min gain 0.3: %d repartitions at imbalance %.3f, want none above the threshold",
 			held.Repartitions, held.Imbalance)
 	}
 	if res := run(uneven, Balancer{Every: 10, countWork: true}); res.Repartitions == 0 {
-		t.Errorf("3/2 split, default min gain: no repartition at imbalance %.3f; the guard test above is vacuous",
+		t.Errorf("density ramp, default min gain: no repartition at imbalance %.3f; the guard test above is vacuous",
 			res.Imbalance)
 	}
 

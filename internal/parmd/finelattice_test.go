@@ -40,16 +40,13 @@ func bruteForces(cfg *workload.Config, model *potential.Model) ([]geom.Vec3, flo
 }
 
 // nudgeOntoPlanes moves every atom lying within 0.25 Å of a sub-cell
-// plane of the triplet search lattice (which contains every pair-cell
-// and so every rank plane) to within 1e-12 Å of it, alternating sides.
-// It returns how many coordinates landed on sub-cell planes and how
-// many of those on the rank planes of a 2-way split of every axis.
-func nudgeOntoPlanes(t *testing.T, cfg *workload.Config, model *potential.Model) (fine, rank int) {
+// plane of the triplet search lattice over the pair lattice lat (which
+// contains every pair-cell and so every rank plane) to within 1e-12 Å
+// of it, alternating sides. It returns how many coordinates landed on
+// sub-cell planes and how many of those on the rank planes of a 2-way
+// split of every axis.
+func nudgeOntoPlanes(t *testing.T, cfg *workload.Config, model *potential.Model, lat cell.Lattice) (fine, rank int) {
 	t.Helper()
-	lat, err := cell.NewLattice(cfg.Box, model.MaxCutoff())
-	if err != nil {
-		t.Fatal(err)
-	}
 	k := subCells(lat.Side, model.Terms[1].Cutoff())
 	if k != 2 {
 		t.Fatalf("silica triplet sub-cells per pair cell = %d, want 2", k)
@@ -98,39 +95,64 @@ func requireForces(t *testing.T, label string, got []geom.Vec3, gotPE float64, w
 // TestFineLatticeMatchesBruteForce is the adversarial check of the
 // per-term rank lattices: SC-MD and FS-MD forces and energy equal the
 // cell-free brute-force reference on silica with atoms pinned to
-// within 1e-12 Å of sub-cell and rank planes, on a cubic and a
-// non-cubic box, 1-D and 3-D topologies, 1 and 3 workers, overlapped
-// and synchronous exchange.
+// within 1e-12 Å of the sub-cell and rank planes of the lattice each
+// scheme runs on (Scheme.lattice: FS-MD's 5.73 Å cells, SC-MD's even
+// 7.16 Å ones with 3.58 Å triplet sub-cells on the cubic box), on a
+// cubic and a non-cubic box, 1-D and 3-D topologies, 1 and 3 workers,
+// overlapped and synchronous exchange.
 func TestFineLatticeMatchesBruteForce(t *testing.T) {
 	if testing.Short() {
-		t.Skip("32 parallel force evaluations against an O(N²) reference")
+		t.Skip("32 parallel force evaluations against O(N²) references")
+	}
+	type pinned struct {
+		cfg *workload.Config
+		f   []geom.Vec3
+		pe  float64
 	}
 	for _, uc := range []geom.IVec3{{X: 4, Y: 4, Z: 4}, {X: 5, Y: 4, Z: 4}} {
 		model := potential.NewSilicaModel()
-		cfg := workload.BetaCristobalite(uc.X, uc.Y, uc.Z)
-		cfg.Thermalize(rand.New(rand.NewSource(int64(uc.X))), model, 300)
-		fine, rank := nudgeOntoPlanes(t, cfg, model)
-		if fine == 0 || rank == 0 {
-			t.Fatalf("%v: nudged %d sub-cell and %d rank-plane coordinates; want both > 0", uc, fine, rank)
-		}
-		wantF, wantPE := bruteForces(cfg, model)
+		base := workload.BetaCristobalite(uc.X, uc.Y, uc.Z)
+		base.Thermalize(rand.New(rand.NewSource(int64(uc.X))), model, 300)
+		// One pinned copy of the configuration, and its reference, per
+		// lattice the schemes run on.
+		refs := map[geom.IVec3]pinned{}
 		for _, dims := range []geom.IVec3{{X: 2, Y: 1, Z: 1}, {X: 2, Y: 2, Z: 2}} {
 			cart, err := comm.NewCartDims(dims)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, scheme := range []Scheme{SchemeSC, SchemeFS} {
+				lat, err := scheme.lattice(base.Box, model, cart)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, ok := refs[lat.Dims]
+				if !ok {
+					cfg := *base
+					cfg.Pos = append([]geom.Vec3(nil), base.Pos...)
+					fine, rank := nudgeOntoPlanes(t, &cfg, model, lat)
+					if fine == 0 || rank == 0 {
+						t.Fatalf("%v on %v cells: nudged %d sub-cell and %d rank-plane coordinates; want both > 0",
+							uc, lat.Dims, fine, rank)
+					}
+					ref.cfg = &cfg
+					ref.f, ref.pe = bruteForces(&cfg, model)
+					refs[lat.Dims] = ref
+				}
 				for _, workers := range []int{1, 3} {
 					for _, noOverlap := range []bool{false, true} {
-						label := fmt.Sprintf("%v/%v/%v/workers=%d/sync=%v", uc, dims, scheme, workers, noOverlap)
-						res, err := Run(cfg, model, Options{
+						label := fmt.Sprintf("%v/%v/%v on %v cells/workers=%d/sync=%v", uc, dims, scheme, lat.Dims, workers, noOverlap)
+						res, err := Run(ref.cfg, model, Options{
 							Scheme: scheme, Cart: cart, Dt: 1, Steps: 0,
 							Workers: workers, NoOverlap: noOverlap,
 						})
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						requireForces(t, label, res.Forces, res.InitialPotential, wantF, wantPE)
+						if res.Cells != lat.Dims {
+							t.Fatalf("%s: run laid %v cells", label, res.Cells)
+						}
+						requireForces(t, label, res.Forces, res.InitialPotential, ref.f, ref.pe)
 					}
 				}
 			}
@@ -143,8 +165,6 @@ func TestFineLatticeMatchesBruteForce(t *testing.T) {
 // FS-MD forces still equal the brute-force reference.
 func TestFineLatticeRepartitionMatchesBruteForce(t *testing.T) {
 	cfg, model := silicaConfig(t, 4, 300, 3)
-	nudgeOntoPlanes(t, cfg, model)
-	wantF, wantPE := bruteForces(cfg, model)
 	cart, err := comm.NewCartDims(geom.IV(2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +173,8 @@ func TestFineLatticeRepartitionMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nudgeOntoPlanes(t, cfg, model, decA.Lat)
+	wantF, wantPE := bruteForces(cfg, model)
 	var starts [3][]int
 	for axis := 0; axis < 3; axis++ {
 		starts[axis] = decA.Starts(axis)
@@ -269,12 +291,14 @@ func TestFineLatticeGeometry(t *testing.T) {
 // the pair-lattice search on the golden workload (six steps plus the
 // initial evaluation): bytes and messages of the halo, write-back,
 // migration and collective classes and the imported atoms summed over
-// ranks. Hybrid-MD imports FS-MD's full shell, so its rows carry the
-// same counts. The shifted golden crystal migrates no atom in six
-// steps, so its migration class is one empty message per rank, split
-// axis and direction per step; the last rows run the same thermalized
-// crystal unshifted, where 55 atoms cross rank planes and migration
-// carries 60-byte records. The rebuild vote adds one 8-byte message
+// ranks. Hybrid-MD imports FS-MD's full shell on FS-MD's 5×5×5 lattice,
+// so its rows carry the same counts; SC-MD runs on its even 4×4×4
+// lattice (Scheme.lattice), one 7.16 Å octant slab deep.
+// The shifted golden crystal migrates no atom in six steps, so its
+// migration class is one empty message per rank, split axis and
+// direction per step; the last rows run the same thermalized crystal
+// unshifted, where 55 atoms cross FS-MD's rank planes and 99 SC-MD's,
+// and migration carries 60-byte records. The rebuild vote adds one 8-byte message
 // from each rank but 0 to rank 0 and one back, per step.
 //
 // Skinned, no step moves an atom half a skin, so the initial
@@ -304,13 +328,13 @@ func TestFineLatticeHaloUnchanged(t *testing.T) {
 		// skinImported is the skinned run's imported-atom total.
 		skinImported int64
 	}{
-		{SchemeSC, geom.IV(2, 1, 1), golden, traffic{488544, 42, 244272, 42, 10178, 0, 24, 16, 2, 96, 12}, 10178},
-		{SchemeSC, geom.IV(2, 2, 2), golden, traffic{835968, 168, 417984, 168, 17416, 0, 288, 112, 14, 672, 84}, 17416},
+		{SchemeSC, geom.IV(2, 1, 1), golden, traffic{693504, 42, 346752, 42, 14448, 0, 24, 16, 2, 96, 12}, 14448},
+		{SchemeSC, geom.IV(2, 2, 2), golden, traffic{1225728, 168, 612864, 168, 25536, 0, 288, 112, 14, 672, 84}, 25536},
 		{SchemeFS, geom.IV(2, 1, 1), golden, traffic{3800832, 84, 1900416, 84, 79184, 0, 24, 16, 2, 96, 12}, 79184},
 		{SchemeFS, geom.IV(2, 2, 2), golden, traffic{8606304, 336, 4303152, 336, 179298, 0, 288, 112, 14, 672, 84}, 179298},
 		{SchemeHybrid, geom.IV(2, 1, 1), golden, traffic{3800832, 84, 1900416, 84, 79184, 0, 24, 16, 2, 96, 12}, 79184},
 		{SchemeHybrid, geom.IV(2, 2, 2), golden, traffic{8606304, 336, 4303152, 336, 179298, 0, 288, 112, 14, 672, 84}, 179298},
-		{SchemeSC, geom.IV(2, 2, 2), thermal, traffic{858960, 168, 429480, 168, 17895, 3300, 288, 112, 14, 672, 84}, 18599},
+		{SchemeSC, geom.IV(2, 2, 2), thermal, traffic{1221600, 168, 610800, 168, 25450, 5940, 288, 112, 14, 672, 84}, 25536},
 		{SchemeFS, geom.IV(2, 2, 2), thermal, traffic{8283744, 336, 4141872, 336, 172578, 3300, 288, 112, 14, 672, 84}, 170268},
 		{SchemeHybrid, geom.IV(2, 2, 2), thermal, traffic{8283744, 336, 4141872, 336, 172578, 3300, 288, 112, 14, 672, 84}, 170268},
 	}

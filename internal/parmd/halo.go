@@ -142,9 +142,9 @@ func (r *rankState) postHaloAxis(pi int) {
 func (r *rankState) postHaloSend(pi int) {
 	ph := &r.plan.Halo[pi]
 	st := &r.phaseState[pi]
-	buf := r.p.AcquireBuffer()
+	var buf *comm.Buffer
 	if r.rebuild {
-		buf.Reserve(len(st.sendIdx) * HaloAtomWireBytes) // the last rebuild's slab
+		buf = r.p.AcquireBufferSize(slabRoom(len(st.sendIdx)))
 		st.sendIdx = st.sendIdx[:0]
 		for i := range r.ecell {
 			e := r.ecell[i].Comp(ph.Axis)
@@ -161,6 +161,7 @@ func (r *rankState) postHaloSend(pi int) {
 			st.sendIdx = append(st.sendIdx, int32(i))
 		}
 	} else {
+		buf = r.p.AcquireBufferSize(len(st.sendIdx) * HaloPositionWireBytes)
 		for _, i := range st.sendIdx {
 			lp := r.lpos[i]
 			lp.SetComp(ph.Axis, lp.Comp(ph.Axis)+ph.PosAdj)
@@ -324,7 +325,7 @@ func (r *rankState) writeBackForces() error {
 	for pi := len(r.plan.Halo) - 1; pi >= 0; pi-- {
 		ph := &r.plan.Halo[pi]
 		st := &r.phaseState[pi]
-		buf := r.p.AcquireBuffer()
+		buf := r.p.AcquireBufferSize(st.recvCount * ForceWireBytes)
 		for k := 0; k < st.recvCount; k++ {
 			putForce(buf, r.force[st.recvStart+k])
 		}
@@ -350,4 +351,32 @@ func (r *rankState) writeBackForces() error {
 		}
 	}
 	return nil
+}
+
+// slabRoom is the buffer room of a whole-record halo frame for a slab
+// that held n atoms at the last list build: a quarter of headroom, as
+// Buffer.Reserve keeps, so atoms drifting into the slab do not grow
+// the buffer mid-frame.
+func slabRoom(n int) int {
+	n *= HaloAtomWireBytes
+	return n + n/4
+}
+
+// provisionBuffers leaves the rank's buffer pool holding, idle, a
+// whole-record buffer for the send and the receive of every halo
+// phase. The set-up evaluation alone leaves fewer: a step also
+// migrates, votes and reduces, and a peer a phase ahead parks its
+// frames in this rank's inbox, so without the reserve the pool would
+// keep growing, one allocation at a time, well into the step loop.
+// Buffers already pooled are reused; only the shortfall allocates.
+func (r *rankState) provisionBuffers() {
+	held := make([]*comm.Buffer, 0, 2*len(r.plan.Halo))
+	for pi := range r.plan.Halo {
+		st := &r.phaseState[pi]
+		held = append(held, r.p.AcquireBufferSize(slabRoom(len(st.sendIdx))),
+			r.p.AcquireBufferSize(slabRoom(st.recvCount)))
+	}
+	for _, b := range held {
+		r.p.ReleaseBuffer(b)
+	}
 }

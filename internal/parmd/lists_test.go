@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sctuple/internal/cell"
 	"sctuple/internal/comm"
 	"sctuple/internal/geom"
 	"sctuple/internal/md"
@@ -99,24 +100,20 @@ func TestSkinFromLattice(t *testing.T) {
 // half a skin from the list build — so about half of them cross a
 // plane — and the reuse step's forces and energy equal the cell-free
 // brute-force reference; a move just over half a skin votes a rebuild,
-// whose forces equal the reference too. For every scheme, a 1-D and a
-// 3-D topology, 1 and 3 workers, overlapped and synchronous exchange.
+// whose forces equal the reference too. For every scheme on the 5.73 Å
+// cells FS-MD and Hybrid-MD lay (0.23 Å skin), and for SC-MD on its
+// even 7.16 Å cells (Scheme.lattice, 0.98 Å skin), on a 1-D and a 3-D
+// topology, 1 and 3 workers, overlapped and synchronous exchange.
 func TestSkinListsMatchBruteForce(t *testing.T) {
 	if testing.Short() {
-		t.Skip("48 parallel force evaluations against two O(N²) references")
+		t.Skip("64 parallel force evaluations against four O(N²) references")
 	}
-	cfg, model := silicaConfig(t, 4, 300, 3)
-	nudgeOntoPlanes(t, cfg, model)
+	base, model := silicaConfig(t, 4, 300, 3)
 	rng := rand.New(rand.NewSource(11))
-	dirs := make([]geom.Vec3, cfg.N())
+	dirs := make([]geom.Vec3, base.N())
 	for i := range dirs {
 		dirs[i] = geom.V(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()).Normalized()
 	}
-	dec, err := NewDecomp(cfg.Box, model.MaxCutoff(), comm.NewCart(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	skin := SchemeSC.skin(model, minSide(dec.Lat.Side))
 	moves := []struct {
 		frac    float64 // of skin/2
 		rebuild bool
@@ -125,83 +122,109 @@ func TestSkinListsMatchBruteForce(t *testing.T) {
 		f  []geom.Vec3
 		pe float64
 	}
-	refs := make([]ref, len(moves))
-	for m, mv := range moves {
-		moved := *cfg
-		moved.Pos = make([]geom.Vec3, cfg.N())
-		for i, r := range cfg.Pos {
-			moved.Pos[i] = cfg.Box.Wrap(r.Add(dirs[i].Scale(mv.frac * skin / 2)))
-		}
-		refs[m].f, refs[m].pe = bruteForces(&moved, model)
+	// Each layout pins its own copy of the configuration to the planes
+	// of the lattice its schemes run on.
+	layouts := []struct {
+		schemes []Scheme
+		lattice func(cart comm.Cart) (cell.Lattice, error)
+	}{
+		{Schemes(), func(comm.Cart) (cell.Lattice, error) { return cell.NewLattice(base.Box, model.MaxCutoff()) }},
+		{[]Scheme{SchemeSC}, func(cart comm.Cart) (cell.Lattice, error) { return SchemeSC.lattice(base.Box, model, cart) }},
 	}
-
-	for _, scheme := range Schemes() {
-		if s := scheme.skin(model, minSide(dec.Lat.Side)); s != skin {
-			t.Fatalf("%v skin %g, SC skin %g: the moves below assume one skin", scheme, s, skin)
+	for _, lay := range layouts {
+		lat, err := lay.lattice(comm.NewCart(2))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, dims := range []geom.IVec3{{X: 2, Y: 1, Z: 1}, {X: 2, Y: 2, Z: 2}} {
-			cart, err := comm.NewCartDims(dims)
-			if err != nil {
-				t.Fatal(err)
+		cfg := *base
+		cfg.Pos = append([]geom.Vec3(nil), base.Pos...)
+		nudgeOntoPlanes(t, &cfg, model, lat)
+		skin := SchemeSC.skin(model, minSide(lat.Side))
+		refs := make([]ref, len(moves))
+		for m, mv := range moves {
+			moved := cfg
+			moved.Pos = make([]geom.Vec3, cfg.N())
+			for i, r := range cfg.Pos {
+				moved.Pos[i] = cfg.Box.Wrap(r.Add(dirs[i].Scale(mv.frac * skin / 2)))
 			}
-			dec, err := NewDecomp(cfg.Box, model.MaxCutoff(), cart)
-			if err != nil {
-				t.Fatal(err)
+			refs[m].f, refs[m].pe = bruteForces(&moved, model)
+		}
+
+		for _, scheme := range lay.schemes {
+			if s := scheme.skin(model, minSide(lat.Side)); s != skin {
+				t.Fatalf("%v skin %g, SC skin %g: the moves below assume one skin", scheme, s, skin)
 			}
-			for _, workers := range []int{1, 3} {
-				for _, overlap := range []bool{true, false} {
-					label := fmt.Sprintf("%v/%v/workers=%d/overlap=%v", scheme, dims, workers, overlap)
-					got := make([][]geom.Vec3, len(moves))
-					for m := range got {
-						got[m] = make([]geom.Vec3, cfg.N())
-					}
-					pes := make([][]float64, len(moves))
-					for m := range pes {
-						pes[m] = make([]float64, cart.Size())
-					}
-					world := comm.NewWorld(cart.Size())
-					defineTagClasses(world)
-					err := world.Run(func(p *comm.Proc) error {
-						r, err := newRankState(p, dec, model, scheme, workers, overlap)
-						if err != nil {
-							return err
+			for _, dims := range []geom.IVec3{{X: 2, Y: 1, Z: 1}, {X: 2, Y: 2, Z: 2}} {
+				cart, err := comm.NewCartDims(dims)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dlat, err := lay.lattice(cart)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dlat.Dims != lat.Dims {
+					t.Fatalf("%v on %v: %v cells, pinned to %v", scheme, dims, dlat.Dims, lat.Dims)
+				}
+				dec, err := NewDecompLattice(dlat, cart)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 3} {
+					for _, overlap := range []bool{true, false} {
+						label := fmt.Sprintf("%v/%v on %v cells/workers=%d/overlap=%v", scheme, dims, lat.Dims, workers, overlap)
+						got := make([][]geom.Vec3, len(moves))
+						for m := range got {
+							got[m] = make([]geom.Vec3, cfg.N())
 						}
-						r.adopt(cfg)
-						if _, err := r.computeForces(); err != nil {
-							return err
+						pes := make([][]float64, len(moves))
+						for m := range pes {
+							pes[m] = make([]float64, cart.Size())
 						}
-						for m, mv := range moves {
-							// Every move starts from the build, where each owned
-							// position is the configuration's.
-							for i := 0; i < r.nOwned; i++ {
-								r.gpos[i] = cfg.Pos[r.ids[i]].Add(dirs[r.ids[i]].Scale(mv.frac * skin / 2))
-							}
-							if err := r.migrate(); err != nil {
-								return err
-							}
-							if r.rebuild != mv.rebuild {
-								return fmt.Errorf("move of %.7f half-skins: rebuild vote %v, want %v", mv.frac, r.rebuild, mv.rebuild)
-							}
-							pe, err := r.computeForces()
+						world := comm.NewWorld(cart.Size())
+						defineTagClasses(world)
+						err := world.Run(func(p *comm.Proc) error {
+							r, err := newRankState(p, dec, model, scheme, workers, overlap)
 							if err != nil {
 								return err
 							}
-							pes[m][p.Rank()] = pe
-							for i := 0; i < r.nOwned; i++ {
-								got[m][r.ids[i]] = r.force[i]
+							r.adopt(&cfg)
+							if _, err := r.computeForces(); err != nil {
+								return err
 							}
+							for m, mv := range moves {
+								// Every move starts from the build, where each owned
+								// position is the configuration's.
+								for i := 0; i < r.nOwned; i++ {
+									r.gpos[i] = cfg.Pos[r.ids[i]].Add(dirs[r.ids[i]].Scale(mv.frac * skin / 2))
+								}
+								if err := r.migrate(); err != nil {
+									return err
+								}
+								if r.rebuild != mv.rebuild {
+									return fmt.Errorf("move of %.7f half-skins: rebuild vote %v, want %v", mv.frac, r.rebuild, mv.rebuild)
+								}
+								pe, err := r.computeForces()
+								if err != nil {
+									return err
+								}
+								pes[m][p.Rank()] = pe
+								for i := 0; i < r.nOwned; i++ {
+									got[m][r.ids[i]] = r.force[i]
+								}
+							}
+							return nil
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
 						}
-						return nil
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					for m, mv := range moves {
-						pe := 0.0
-						for _, e := range pes[m] {
-							pe += e
+						for m, mv := range moves {
+							pe := 0.0
+							for _, e := range pes[m] {
+								pe += e
+							}
+							requireForces(t, fmt.Sprintf("%s/move %.7f", label, mv.frac), got[m], pe, refs[m].f, refs[m].pe)
 						}
-						requireForces(t, fmt.Sprintf("%s/move %.7f", label, mv.frac), got[m], pe, refs[m].f, refs[m].pe)
 					}
 				}
 			}
@@ -226,7 +249,7 @@ func TestReuseMatchesForcedRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const steps = 40
+	const steps = 80
 	ulps := func(x float64) float64 { return 8192 * math.Abs(x) * 0x1p-52 }
 	for _, scheme := range Schemes() {
 		var res [2]*Result
@@ -274,7 +297,7 @@ func TestReuseWorkersBitIdentical(t *testing.T) {
 		var ref *Result
 		for _, workers := range []int{1, 3, computeShards} {
 			res, err := Run(cfg, model, Options{
-				Scheme: scheme, Cart: cart, Dt: 0.5, Steps: 30, Workers: workers, TraceEnergies: true,
+				Scheme: scheme, Cart: cart, Dt: 0.5, Steps: 60, Workers: workers, TraceEnergies: true,
 			})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", scheme, workers, err)
@@ -282,7 +305,7 @@ func TestReuseWorkersBitIdentical(t *testing.T) {
 			if ref == nil {
 				ref = res
 				if res.ListRebuilds < 2 {
-					t.Fatalf("%v: %d list builds in 30 steps; the test needs a rebuild between reuse steps", scheme, res.ListRebuilds)
+					t.Fatalf("%v: %d list builds in 60 steps; the test needs a rebuild between reuse steps", scheme, res.ListRebuilds)
 				}
 				continue
 			}

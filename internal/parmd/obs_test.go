@@ -400,13 +400,13 @@ func TestTraceFlowEvents(t *testing.T) {
 // TestStepRecordClassBytes: the JSONL step records carry per-tag-class
 // byte deltas (comm_halo_bytes, comm_force_bytes, ...) whose per-rank
 // sums — plus the initial force evaluation the loop's records never
-// cover — reproduce the run's cumulative per-class totals. Twelve
-// 1 fs steps take the run past a list rebuild, the only steps that
-// migrate.
+// cover — reproduce the run's cumulative per-class totals. Forty 1 fs
+// steps take the run past a list rebuild, the only steps that migrate
+// (SC-MD's 0.98 Å skin on the even 4×4×4 lattice outlasts 24 fs here).
 func TestStepRecordClassBytes(t *testing.T) {
 	cfg, model := silicaConfig(t, 4, 300, 33)
 	cart, _ := comm.NewCartDims(geom.IV(2, 1, 1))
-	const steps = 12
+	const steps = 40
 
 	var buf bytes.Buffer
 	res, err := Run(cfg, model, Options{

@@ -159,6 +159,11 @@ type Result struct {
 	// not configured (DESIGN.md §5.21).
 	ListRebuilds int64
 	Skin         float64
+	// Cells and CellSide are the global cell counts and cell sides (Å)
+	// of the decomposition's lattice — the one the scheme picked
+	// (Scheme.lattice), identical on every rank.
+	Cells    geom.IVec3
+	CellSide geom.Vec3
 	// StepAllocs is the mean number of heap allocations per step across
 	// the whole step loop (all ranks, whole process), measured when
 	// Options.MeasureAllocs is set with Steps > 0; -1 otherwise.
@@ -169,9 +174,9 @@ type Result struct {
 
 // Run executes a complete parallel MD run of the given configuration
 // and model over an in-process rank world, and gathers the final
-// state. The decomposition's cell lattice uses the model's largest
-// cutoff as minimum cell side, exactly like the serial engines, so
-// serial and parallel runs are comparable.
+// state. The decomposition's cell lattice is the one the scheme picks
+// (Scheme.lattice): cells no thinner than the model's largest cutoff,
+// which SC-MD thickens until every rank owns an equal block.
 func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
@@ -185,18 +190,17 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 	if opt.Cart.Size() == 0 {
 		return nil, fmt.Errorf("parmd: empty process topology")
 	}
-	dec, err := NewDecomp(cfg.Box, model.MaxCutoff(), opt.Cart)
+	lat, err := opt.Scheme.lattice(cfg.Box, model, opt.Cart)
+	if err != nil {
+		return nil, fmt.Errorf("parmd: %w", err)
+	}
+	dec, err := NewDecompLattice(lat, opt.Cart)
 	if err != nil {
 		return nil, err
 	}
 	// The global lattice must be large enough that a chain can never
 	// close onto a periodic image of its own first atom.
-	need := 3
-	for _, t := range model.Terms {
-		if t.N() > need {
-			need = t.N()
-		}
-	}
+	need := minLatticeCells(model)
 	for axis := 0; axis < 3; axis++ {
 		if dec.Lat.Dims.Comp(axis) < need {
 			return nil, fmt.Errorf("parmd: global lattice %v needs ≥ %d cells per axis", dec.Lat.Dims, need)
@@ -224,7 +228,8 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 	opt.Log.Info("parmd run start",
 		"scheme", opt.Scheme.String(), "ranks", world.Size(), "workers", opt.Workers,
 		"steps", opt.Steps, "dt_fs", opt.Dt, "atoms", cfg.N())
-	res := &Result{RankStats: make([]RankStats, world.Size()), StepAllocs: -1}
+	res := &Result{RankStats: make([]RankStats, world.Size()), StepAllocs: -1,
+		Cells: dec.Lat.Dims, CellSide: dec.Lat.Side}
 	if opt.TraceEnergies {
 		res.Energies = make([]StepEnergy, opt.Steps)
 	}
@@ -310,6 +315,7 @@ func Run(cfg *workload.Config, model *potential.Model, opt Options) (*Result, er
 			r.prewarmParity(cfg.N())
 		}
 
+		r.provisionBuffers()
 		var mallocs0 uint64
 		if opt.MeasureAllocs && opt.Steps > 0 {
 			p.Barrier()

@@ -181,3 +181,36 @@ func TestSocketHaloFaultAborts(t *testing.T) {
 		t.Fatal("halo fault deadlocked the fleet")
 	}
 }
+
+// TestSocketStepLoopAllocs: the Hybrid-MD step loop over unix sockets
+// allocates almost nothing once a call is under way — 1,536 atoms at
+// 300 K on 2 ranks for 120 steps, as the hybrid-fine-socket benchmark
+// runs it. Positions-only and write-back frames are reserved to their
+// known size, frames go out as one vectored write without a staging
+// copy, and the receive pool hands each frame a buffer that already
+// fits. MeasureAllocs counts the whole process (both ranks, both
+// readers); the best of three calls must show at most one allocation
+// in the step loop, which leaves room for a stray runtime allocation.
+func TestSocketStepLoopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	if testing.Short() {
+		t.Skip("three 120-step socket fabric runs")
+	}
+	cfg, model := silicaConfig(t, 4, 300, 1)
+	const steps = 120
+	opt := Options{Scheme: SchemeHybrid, Cart: comm.NewCart(2), Dt: 0.5, Steps: steps,
+		Workers: 1, TraceEnergies: true, MeasureAllocs: true}
+	best := math.Inf(1)
+	for call := 0; call < 3; call++ {
+		res, err := RunSocket(cfg, model, opt, "unix")
+		if err != nil {
+			t.Fatal(err)
+		}
+		best = math.Min(best, math.Round(res.StepAllocs*steps))
+	}
+	if best > 1 {
+		t.Errorf("fewest step-loop allocations over three calls: %g, want ≤ 1", best)
+	}
+}

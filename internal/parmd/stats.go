@@ -365,6 +365,22 @@ func (r *Result) OverlapFraction() float64 {
 	return interior / (interior + wait)
 }
 
+// OwnedImbalance returns the max over mean of the per-rank owned atom
+// counts at the end of the run (RankStats.OwnedAtoms): 1 when every
+// rank owns the same number of atoms.
+func (r *Result) OwnedImbalance() float64 {
+	maxN, sum := 0, 0
+	for i := range r.RankStats {
+		n := r.RankStats[i].OwnedAtoms
+		sum += n
+		maxN = max(maxN, n)
+	}
+	if sum == 0 {
+		return 1
+	}
+	return float64(maxN) / (float64(sum) / float64(len(r.RankStats)))
+}
+
 // ForceImbalance returns the whole-run force-phase load imbalance: the
 // max over mean of the per-rank cumulative force-work time
 // (RankStats.ForceNs). 1 means perfectly balanced; it is the quantity
